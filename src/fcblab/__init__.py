@@ -64,7 +64,6 @@ from .witnesses import (
     bml_homogeneous_witness,
     contraction_check,
     degree_extraction_embed,
-    exact_correlation_search,
     homogeneous_fcb_witness,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "evaluate",
     "evaluate_bml_on_matrices",
     "evaluate_on_witness",
-    "exact_correlation_search",
     "extract_polynomial",
     "extract_witness",
     "fcb_norm",

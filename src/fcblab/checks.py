@@ -63,13 +63,13 @@ class CheckRow:
         return bool(self.lhs <= self.rhs)
 
 
-def _random_poly(rng: np.random.Generator, n: int, max_deg: int, terms: int) -> Polynomial:
+def random_poly(rng: np.random.Generator, n: int, max_deg: int, terms: int) -> Polynomial:
     monomials = [s for r in range(max_deg + 1) for s in itertools.combinations(range(1, n + 1), r)]
     chosen = rng.choice(len(monomials), size=min(terms, len(monomials)), replace=False)
     return Polynomial(n, {monomials[k]: float(rng.standard_normal()) for k in sorted(chosen)})
 
 
-def _random_homogeneous(rng: np.random.Generator, n_max: int, d_max: int) -> Polynomial:
+def random_homogeneous(rng: np.random.Generator, n_max: int, d_max: int) -> Polynomial:
     n = int(rng.integers(1, n_max + 1))
     d = int(rng.integers(1, min(d_max, n) + 1))
     coeffs = {s: float(rng.standard_normal()) for s in itertools.combinations(range(1, n + 1), d)}
@@ -77,7 +77,7 @@ def _random_homogeneous(rng: np.random.Generator, n_max: int, d_max: int) -> Pol
     return Polynomial(n, {s: c / scale for s, c in coeffs.items()})
 
 
-def _random_homogeneous_bml(
+def random_homogeneous_bml(
     rng: np.random.Generator, n_max: int, d_max: int
 ) -> BlockMultilinearPolynomial:
     n = int(rng.integers(1, n_max + 1))
@@ -97,7 +97,7 @@ def suite_monotonicity(seed: int, trials: int = 6) -> list[CheckRow]:
         v2 = fcb_norm(p, 2)
         rows.append(CheckRow(name, "fcb_monotone_d1_d2", v2, v1 + SDP_MARGIN))
     for k in range(trials):
-        p = _random_poly(rng, 2, 1, 3)
+        p = random_poly(rng, 2, 1, 3)
         v1 = fcb_norm(p, 1)
         v2 = fcb_norm(p, 2)
         rows.append(CheckRow(f"mono-{k:03d}", "fcb_monotone_d1_d2", v2, v1 + SDP_MARGIN))
@@ -108,7 +108,7 @@ def suite_restriction(seed: int, trials: int = 5) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(trials):
-        p = _random_poly(rng, 3, 2, 5)
+        p = random_poly(rng, 3, 2, 5)
         base = fcb_norm(p, 2)
         for i in range(1, 4):
             for y in (1, -1):
@@ -127,7 +127,7 @@ def suite_sandwich(seed: int, trials: int = 8) -> list[CheckRow]:
         ("edge-constant", Polynomial(2, {(): -0.4})),
         ("edge-monomial", Polynomial(2, {(1, 2): 1.0})),
     ]
-    cases = edges + [(f"sand-{k:03d}", _random_poly(rng, 2, 2, 4)) for k in range(trials)]
+    cases = edges + [(f"sand-{k:03d}", random_poly(rng, 2, 2, 4)) for k in range(trials)]
     for name, p in cases:
         v = fcb_norm(p, 2)
         rows.append(CheckRow(name, "sup_le_fcb", sup_norm_bruteforce(p) - SDP_MARGIN, v))
@@ -139,7 +139,7 @@ def suite_certificates(seed: int, trials: int = 100) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     rows = []
     cases = [("edge-monomial", Polynomial(3, {(1, 2, 3): 1.0}))]
-    cases += [(f"cert-{k:03d}", _random_homogeneous(rng, 4, 3)) for k in range(trials - 1)]
+    cases += [(f"cert-{k:03d}", random_homogeneous(rng, 4, 3)) for k in range(trials - 1)]
     for name, p in cases:
         cert = homogeneous_fcb_witness(p)
         report = verify_bb(cert.witness, CERT_TOL)
@@ -178,7 +178,7 @@ def suite_hierarchy(seed: int, trials: int = 1) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(trials):
-        p = _random_poly(rng, 3, 2, 5)
+        p = random_poly(rng, 3, 2, 5)
         sup = sup_norm_bruteforce(p)
         values = {d: fcb_norm(p, d) for d in (2, 3)}
         rows.append(CheckRow(f"hier-{k:03d}", "fcb_monotone_d2_d3", values[3], values[2] + SDP_MARGIN))

@@ -93,7 +93,6 @@ def _cmd_fcb(args) -> int:
             "value": sol.value,
             "primal_residual": sol.primal_residual,
             "dual_residual": sol.dual_residual,
-            "equality_residual": sol.equality_residual,
             "localizer_min_eig_slack": sol.localizer_min_eig_slack,
             "iterations": sol.iterations,
             "converged": sol.converged,

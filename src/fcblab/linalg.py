@@ -4,29 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-SVD_DIM_LIMIT = 512
-POWER_ITERATIONS = 50
-
 
 def sigma_max(a: np.ndarray) -> float:
-    """Largest singular value; full SVD up to SVD_DIM_LIMIT, power iteration above.
-
-    The power iteration runs on A^T A for a fixed count from the normalized
-    all-ones vector, so results are deterministic.
-    """
+    """Largest singular value, from the exact SVD at every size."""
     a = np.asarray(a, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    m = a.shape[0]
-    if m == 0:
+    if a.shape[0] == 0:
         return 0.0
-    if m <= SVD_DIM_LIMIT:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    x = np.full(m, 1.0 / np.sqrt(m))
-    for _ in range(POWER_ITERATIONS):
-        y = a.T @ (a @ x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-    return float(np.linalg.norm(a @ x))
+    return float(np.linalg.svd(a, compute_uv=False)[0])

@@ -39,6 +39,13 @@ def _canonical_subset(key: Iterable[int], n: int) -> Subset:
     return s
 
 
+def _finite(val, key) -> float:
+    v = float(val)
+    if not np.isfinite(v):
+        raise ValueError(f"coefficient of {key} is not finite: {v}")
+    return v
+
+
 def _sign_vector(x: Sequence[float], n: int) -> tuple[float, ...]:
     if len(x) != n:
         raise ValueError(f"point has length {len(x)}, expected {n}")
@@ -69,7 +76,7 @@ class Polynomial:
             s = _canonical_subset(key, self.n)
             if s in clean:
                 raise ValueError(f"duplicate coefficient key {s}")
-            v = float(val)
+            v = _finite(val, s)
             if v != 0.0:
                 clean[s] = v
         object.__setattr__(self, "coeffs", clean)
@@ -125,7 +132,7 @@ class BlockMultilinearPolynomial:
                     raise ValueError(f"index {i} out of range for n={self.n}")
             if pairs in clean:
                 raise ValueError(f"duplicate coefficient key {pairs}")
-            v = float(val)
+            v = _finite(val, pairs)
             if v != 0.0:
                 clean[pairs] = v
         object.__setattr__(self, "coeffs", clean)

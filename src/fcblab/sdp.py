@@ -2,19 +2,25 @@
 
 One positive semidefinite moment matrix M is indexed by {u} followed by all
 words of length <= d over [n+1] (the empty word is v).  The objective places
-each Fourier coefficient on the (u, canonical word) entry; equalities tie
-<u, v_w> together across each parity class of length-d words and normalize
-M[u,u] = M[v,v] = 1; for every letter i the Gram matrix of the shifted
-vectors {v_{i w}} must be dominated by the Gram matrix of {v_w} over words
-of length <= d-1, which encodes "A(i) is a contraction" as a pair of
-principal-submatrix selections.
+each Fourier coefficient on the (u, canonical word) entry; for every letter
+i the Gram matrix of the shifted vectors {v_{i w}} must be dominated by the
+Gram matrix of {v_w} over words of length <= d-1, which encodes "A(i) is a
+contraction" as a pair of principal-submatrix selections.
 
-The solver is an in-house consensus ADMM in the symmetric-vectorized space:
-each iteration performs a sparse linear solve (the only place the objective
-enters), a PSD projection of the moment copy and one batched PSD projection
-of the localizer slacks, each via eigendecomposition, and an affine
-projection onto the equality constraints, starting from zero.  The ADMM
-step is plain (no over-relaxation) and is extrapolated by safeguarded
+The program is built in the symmetric-vectorized (svec) space the solver
+works in, and its equality relations are written into the variable instead
+of being imposed as constraints: every entry <u, v_w> of a parity class of
+length-d words shares the variable of the class's first word, and the
+diagonal entries M[u,u] = M[v,v] = 1 have no variable.  The svec moment
+vector is x = x0 + T y, with x0 holding the two fixed ones and T the 0/1
+map from the free variables y to their entries.
+
+The solver is an in-house consensus ADMM on y: each iteration performs a
+sparse linear solve with (F T)^T (F T) (the only place the objective
+enters), where F stacks the identity and the localizer selections, a PSD
+projection of the moment copy and one batched PSD projection of the
+localizer slacks, each via eigendecomposition, starting from zero.  The
+ADMM step is plain (no over-relaxation) and is extrapolated by safeguarded
 type-II Anderson acceleration over the last ANDERSON_MEMORY steps; an
 extrapolated point whose fixed-point residual is worse than that of the
 point it came from is discarded in favour of the plain step.  Residuals are
@@ -55,14 +61,13 @@ ANDERSON_REGULARIZATION = 1e-10  # ridge on the least-squares Gram matrix, relat
 @dataclass
 class SdpProblem:
     dim: int
-    objective: np.ndarray
-    equalities: list[tuple[sp.coo_matrix, float]]
+    objective: np.ndarray  # svec vector c with c @ svec(M) = sum_S p_hat(S) M[u, canonical word of S]
+    variable: np.ndarray  # per svec entry, the index of its free variable; -1 where the entry is fixed at 1
     localizers: list[tuple[np.ndarray, np.ndarray]]  # (rows of v_{i w}, rows of v_w)
     n: int
     d: int
     words: list[Word]
     word_index: dict[Word, int]
-    num_class_equalities: int
 
 
 @dataclass
@@ -71,7 +76,6 @@ class SdpSolution:
     moment: np.ndarray
     primal_residual: float
     dual_residual: float
-    equality_residual: float
     localizer_min_eig_slack: float
     iterations: int
     converged: bool
@@ -94,6 +98,13 @@ def _all_words(n: int, d: int) -> list[Word]:
     return words
 
 
+def _svec_index(dim: int, a, b):
+    """Position of matrix entry (a, b) in the svec vector of a dim x dim symmetric matrix."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    return lo * dim - lo * (lo - 1) // 2 + (hi - lo)
+
+
 def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     """Assemble the moment-matrix program whose optimum is ||p||_{fcb,d}."""
     if d < 0:
@@ -112,28 +123,22 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     words = _all_words(n, d)
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
 
-    objective = np.zeros((dim, dim))
+    # Row u is the first row of the svec upper triangle: entry (u, w) sits at
+    # position word_index[w] and carries the sqrt(2) off-diagonal scale.
+    size = dim * (dim + 1) // 2
+    objective = np.zeros(size)
     for s, c in p.coeffs.items():
-        idx = word_index[canonical_word(s, d, n)]
-        objective[0, idx] += c / 2.0
-        objective[idx, 0] += c / 2.0
+        objective[word_index[canonical_word(s, d, n)]] = c / np.sqrt(2.0)
 
-    equalities: list[tuple[sp.coo_matrix, float]] = []
-    num_class = 0
-    if d > 0:
-        for members in enumerate_classes(n, d).values():
-            rep = word_index[members[0]]
-            for w in members[1:]:
-                idx = word_index[w]
-                e = sp.coo_matrix(
-                    ([0.5, 0.5, -0.5, -0.5], ((0, idx, 0, rep), (idx, 0, rep, 0))),
-                    shape=(dim, dim),
-                )
-                equalities.append((e, 0.0))
-                num_class += 1
-    for diag in (0, word_index[()]):
-        e = sp.coo_matrix(([1.0], ((diag,), (diag,))), shape=(dim, dim))
-        equalities.append((e, 1.0))
+    # owner[k] is the svec entry whose variable entry k takes.
+    owner = np.arange(size)
+    for members in enumerate_classes(n, d).values():
+        owner[[word_index[w] for w in members]] = word_index[members[0]]
+    v_diag = _svec_index(dim, word_index[()], word_index[()])
+    owner[[0, v_diag]] = -1
+    free = owner >= 0
+    variable = np.full(size, -1)
+    variable[free] = np.unique(owner[free], return_inverse=True)[1]
 
     base = [word_index[w] for w in words if len(w) <= d - 1]
     localizers = []
@@ -144,13 +149,12 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     return SdpProblem(
         dim=dim,
         objective=objective,
-        equalities=equalities,
+        variable=variable,
         localizers=localizers,
         n=n,
         d=d,
         words=words,
         word_index=word_index,
-        num_class_equalities=num_class,
     )
 
 
@@ -166,14 +170,6 @@ class _SvecSpace:
         self.scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
         self.upper = rows * dim + cols  # flat position of each svec entry
         self.lower = cols * dim + rows  # flat position of its mirror image
-
-    def index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return lo * self.dim - lo * (lo - 1) // 2 + (hi - lo)
-
-    def to_vector(self, mat: np.ndarray) -> np.ndarray:
-        return mat[self.rows, self.cols] * self.scale
 
     def to_matrix(self, vec: np.ndarray) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim))
@@ -251,26 +247,6 @@ class _Anderson:
         return step - gamma @ self.ds[:k]
 
 
-def _equality_rows(space: _SvecSpace, equalities, dim: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    data, row_idx, col_idx, rhs = [], [], [], []
-    for k, (e, b) in enumerate(equalities):
-        coo = e.tocoo()
-        acc: dict[int, float] = {}
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            key = int(space.index(np.array([r]), np.array([c]))[0])
-            if r == c:
-                acc[key] = acc.get(key, 0.0) + v
-            else:
-                acc[key] = acc.get(key, 0.0) + v / np.sqrt(2.0)
-        for key, v in acc.items():
-            row_idx.append(k)
-            col_idx.append(key)
-            data.append(v)
-        rhs.append(b)
-    mat = sp.csr_matrix((data, (row_idx, col_idx)), shape=(len(equalities), space.size))
-    return mat, np.array(rhs)
-
-
 def solve_sdp(
     prob: SdpProblem,
     tol: float = DEFAULT_TOL,
@@ -279,8 +255,12 @@ def solve_sdp(
 ) -> SdpSolution:
     """Run the accelerated consensus ADMM iteration until residuals fall below tol.
 
-    Returns converged=False (with residuals) when the iteration budget is
-    exhausted; callers decide whether that is fatal.
+    The primal residual is the larger of ||F x - z|| / (1 + ||F x||) and the
+    largest entry of |F x - z|; the dual residual is
+    rho ||(F T)^T (z - z_prev)|| / (1 + ||c||).  Residual balancing compares
+    the dual residual with the relative primal norm.  Returns
+    converged=False (with residuals) when the iteration budget is exhausted;
+    callers decide whether that is fatal.
     """
     space = _SvecSpace(prob.dim)
     n_vec = space.size
@@ -290,8 +270,8 @@ def solve_sdp(
     loc_size = loc_space.size
     loc_pairs = [
         (
-            space.index(base[loc_space.rows], base[loc_space.cols]),
-            space.index(shifted[loc_space.rows], shifted[loc_space.cols]),
+            _svec_index(prob.dim, base[loc_space.rows], base[loc_space.cols]),
+            _svec_index(prob.dim, shifted[loc_space.rows], shifted[loc_space.cols]),
         )
         for shifted, base in prob.localizers
     ]
@@ -303,59 +283,55 @@ def solve_sdp(
         cols = np.stack([base_idx, shift_idx], axis=1).reshape(-1)
         vals = np.tile([1.0, -1.0], loc_size)
         blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(loc_size, n_vec)))
-    blocks.append(sp.identity(n_vec, format="csr"))
     F = sp.vstack(blocks, format="csr")
-    Ft = F.T.tocsr()
-    solver = splu((Ft @ F).tocsc())
 
-    eq_mat, eq_rhs = _equality_rows(space, prob.equalities, prob.dim)
-    # The equalities touch few svec entries (row u and the two normalized
-    # diagonal entries), so the affine projection moves those and no others.
-    support = np.unique(eq_mat.indices)
-    eq_dense = eq_mat[:, support].toarray()
-    eq_pinv = np.linalg.pinv(eq_dense)
-    affine_map = np.eye(support.size) - eq_pinv @ eq_dense
-    affine_shift = eq_pinv @ eq_rhs
+    # x = x0 + T y meets the class ties and the fixed diagonals for every y,
+    # so the ADMM runs on y through G = F T.
+    free = np.flatnonzero(prob.variable >= 0)
+    T = sp.csr_matrix(
+        (np.ones(free.size), (free, prob.variable[free])),
+        shape=(n_vec, int(prob.variable.max()) + 1),
+    )
+    x0 = np.where(prob.variable >= 0, 0.0, 1.0)
+    G = (F @ T).tocsr()
+    Gt = G.T.tocsr()
+    solver = splu((Gt @ G).tocsc())
+    fx0 = F @ x0
 
-    c = space.to_vector(prob.objective)
+    c = prob.objective
+    cy = T.T @ c
     c_norm = 1.0 + np.linalg.norm(c)
-
-    loc_end = n_vec + n_loc * loc_size
-    total = loc_end + n_vec
 
     def project_blocks(vec: np.ndarray) -> np.ndarray:
         out = np.empty_like(vec)
         out[:n_vec] = space.psd_project(vec[:n_vec])
         if loc_size:
-            slacks = vec[n_vec:loc_end].reshape(n_loc, loc_size)
-            out[n_vec:loc_end] = loc_space.psd_project(slacks).reshape(-1)
-        out[loc_end:] = vec[loc_end:]
-        out[loc_end + support] = affine_map @ vec[loc_end + support] + affine_shift
+            slacks = vec[n_vec:].reshape(n_loc, loc_size)
+            out[n_vec:] = loc_space.psd_project(slacks).reshape(-1)
         return out
 
     # The state is the point v that the projection is applied to: z = P(v) is
     # the consensus copy and u = v - z the scaled dual, so one plain ADMM step
     # maps v to F x + u, and Anderson acceleration extrapolates across steps.
-    v = np.zeros(total)
+    v = np.zeros(F.shape[0])
     z = project_blocks(v)
-    accel = _Anderson(total)
-    x = np.zeros(n_vec)
+    accel = _Anderson(v.size)
+    y = np.zeros(T.shape[1])
     # An accelerated run can reach tol in the middle of a steep descent, where
     # a check catches a point that passes only barely.  The first passing check
     # settles convergence; the solve runs one more check interval and returns
     # that later point when it passes too, else the first one.
-    passed: tuple[np.ndarray, float, float, float] | None = None
-    primal_res = np.inf
+    passed: tuple[np.ndarray, float, float] | None = None
+    primal_res = primal_rel = np.inf
     dual_res = np.inf
-    eq_res = np.inf
     iterations = 0
     converged = False
 
     for iteration in range(1, max_iters + 1):
         iterations = iteration
         u = v - z
-        x = solver.solve(c / rho + Ft @ (z - u))
-        fx = F @ x
+        y = solver.solve(cy / rho + Gt @ (z - u - fx0))
+        fx = fx0 + G @ y
         step = fx + u
         # Residuals are measured on plain steps only, so a check iteration neither
         # extrapolates nor rejects.
@@ -364,22 +340,26 @@ def solve_sdp(
         z_prev, z = z, project_blocks(v)
 
         if check:
-            primal_res = float(np.linalg.norm(fx - z) / (1.0 + np.linalg.norm(fx)))
-            dual_res = float(rho * np.linalg.norm(Ft @ (z - z_prev)) / c_norm)
-            eq_res = float(np.max(np.abs(eq_mat @ x - eq_rhs))) if eq_rhs.size else 0.0
-            if primal_res <= tol and dual_res <= tol and eq_res <= tol:
+            mismatch = fx - z
+            primal_rel = float(np.linalg.norm(mismatch) / (1.0 + np.linalg.norm(fx)))
+            # The relative norm alone lets single entries of a large moment
+            # matrix leave their cone by many times tol (at d=3, value errors
+            # of 2e-5 at tol 1e-6), so every entry is held to tol as well.
+            primal_res = max(primal_rel, float(np.abs(mismatch).max()))
+            dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
+            if primal_res <= tol and dual_res <= tol:
                 if passed is not None or iteration == max_iters:
                     converged = True
                     break
-                passed = (x, primal_res, dual_res, eq_res)
+                passed = (y, primal_res, dual_res)
             elif passed is not None:
-                x, primal_res, dual_res, eq_res = passed
+                y, primal_res, dual_res = passed
                 converged = True
                 break
         if iteration % RHO_BALANCE_EVERY == 0:
-            if primal_res > 10.0 * dual_res and rho < 1e4:
+            if primal_rel > 10.0 * dual_res and rho < 1e4:
                 factor = 2.0
-            elif dual_res > 10.0 * primal_res and rho > 1e-4:
+            elif dual_res > 10.0 * primal_rel and rho > 1e-4:
                 factor = 0.5
             else:
                 continue
@@ -387,6 +367,7 @@ def solve_sdp(
             v = z + (v - z) / factor
             accel.reset()
 
+    x = x0 + T @ y
     moment = space.to_matrix(x)
     min_slack = 0.0
     if loc_size:
@@ -398,7 +379,6 @@ def solve_sdp(
         moment=moment,
         primal_residual=primal_res,
         dual_residual=dual_res,
-        equality_residual=eq_res,
         localizer_min_eig_slack=min_slack,
         iterations=iterations,
         converged=converged,
@@ -412,13 +392,15 @@ def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = D
     if not sol.converged:
         raise ConvergenceError(
             f"SDP did not reach tol={tol} in {sol.iterations} iterations "
-            f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e}, "
-            f"equality {sol.equality_residual:.2e})"
+            f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e})"
         )
     return sol.value
 
 
-RANK_TOLERANCE = 1e-8
+# A solve to DEFAULT_TOL does not resolve eigen-directions below it; keeping
+# them lets the least-squares map amplify noise into spurious singular values.
+RANK_TOLERANCE = DEFAULT_TOL
+PINV_RCOND = 1e-5
 SINGULAR_EXCESS_TOLERANCE = 1e-6
 
 
@@ -427,8 +409,9 @@ def extract_witness(sol: SdpSolution, prob: SdpProblem) -> Witness:
 
     Eigenvalues below RANK_TOLERANCE are discarded; A(i) is the least-squares
     map sending each word vector v_w to v_{i w} (zero on the orthogonal
-    complement), with singular values clamped to 1 when the excess is within
-    SINGULAR_EXCESS_TOLERANCE.
+    complement, with singular values of the word vectors below PINV_RCOND
+    times the largest treated as zero), with singular values clamped to 1
+    when the excess is within SINGULAR_EXCESS_TOLERANCE.
     """
     if not sol.converged:
         raise ExtractionError("solution did not converge; refusing to extract a witness")
@@ -444,7 +427,7 @@ def extract_witness(sol: SdpSolution, prob: SdpProblem) -> Witness:
     v = factors[prob.word_index[()]]
     base_rows = [prob.word_index[w] for w in prob.words if len(w) <= prob.d - 1]
     base = factors[base_rows].T  # rank x |W0|
-    base_pinv = np.linalg.pinv(base, rcond=1e-7)
+    base_pinv = np.linalg.pinv(base, rcond=PINV_RCOND)
 
     A = np.zeros((prob.n + 1, rank, rank))
     for i in range(1, prob.n + 2):

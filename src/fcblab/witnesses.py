@@ -149,8 +149,9 @@ def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceC
     The same matrices are substituted into every block.  Applications for
     blocks d..s+1 build suffix sets, the block-s application jumps to a
     superposition of prefix sets weighted by p_hat/sqrt(Inf_{s,i}), and
-    blocks s-1..1 annihilate.  The certified value is identical for every
-    choice of s in [d].
+    blocks s-1..1 annihilate.  The certified value is sum_i sqrt(Inf_{s,i})
+    for the chosen block s, so it depends on s; the implied bound Var[p]^2
+    does not.
     """
     d = p.d
     if not p.is_homogeneous() or p.degree != d or not p.coeffs:
@@ -296,52 +297,3 @@ def degree_extraction_embed(w: BmlWitness, D: int, d: int) -> BmlWitness:
             A[b, i] = np.kron(w.A[b, i], shift)
     return BmlWitness(u=np.kron(w.u, e_first), v=np.kron(w.v, e_last), A=A)
 
-
-def exact_correlation_search(
-    p: Polynomial, d: int, scale: float, tol: float = 1e-6, max_iters: int = 100_000
-) -> dict:
-    """Experimental: search for a triple matching every coefficient of p/scale.
-
-    Augments the norm SDP with equalities pinning <u, v_{i^S}> to
-    p_hat(S)/scale for every class, then solves the feasibility problem
-    (zero objective).  A converged solve with small residuals is numerical
-    evidence only; no claim is attached to either outcome.
-    """
-    import scipy.sparse as sp
-
-    from . import sdp as _sdp
-    from .behavior import canonical_word
-
-    prob = _sdp.build_fcb_sdp(p, d)
-    equalities = list(prob.equalities)
-    dim = prob.dim
-    for size in range(d + 1):
-        for s in itertools.combinations(range(1, p.n + 1), size):
-            idx = prob.word_index[canonical_word(s, d, p.n)]
-            e = sp.coo_matrix(([0.5, 0.5], ((0, idx), (idx, 0))), shape=(dim, dim))
-            equalities.append((e, p.coeffs.get(s, 0.0) / scale))
-    pinned = _sdp.SdpProblem(
-        dim=dim,
-        objective=np.zeros((dim, dim)),
-        equalities=equalities,
-        localizers=prob.localizers,
-        n=prob.n,
-        d=prob.d,
-        words=prob.words,
-        word_index=prob.word_index,
-        num_class_equalities=prob.num_class_equalities,
-    )
-    sol = _sdp.solve_sdp(pinned, tol=tol, max_iters=max_iters)
-    report = {
-        "feasible_numerically": sol.converged,
-        "equality_residual": sol.equality_residual,
-        "primal_residual": sol.primal_residual,
-        "iterations": sol.iterations,
-        "witness": None,
-    }
-    if sol.converged:
-        try:
-            report["witness"] = _sdp.extract_witness(sol, pinned)
-        except Exception:  # noqa: BLE001 - extraction failure stays informational
-            pass
-    return report

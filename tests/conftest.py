@@ -1,11 +1,13 @@
 """Shared oracles and generators for the test suite."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from fcblab import BlockMultilinearPolynomial, Polynomial
+from fcblab import BlockMultilinearPolynomial, Polynomial, checks
+from fcblab.checks import random_poly  # noqa: F401 - imported by the test modules
 
 
 def brute_force_coeffs(values: dict, n: int) -> dict:
@@ -33,30 +35,8 @@ def maj3() -> Polynomial:
     return Polynomial(3, {(1,): 0.5, (2,): 0.5, (3,): 0.5, (1, 2, 3): -0.5})
 
 
-def random_poly(rng: np.random.Generator, n: int, max_deg: int, terms: int) -> Polynomial:
-    monos = [s for r in range(max_deg + 1) for s in itertools.combinations(range(1, n + 1), r)]
-    picks = rng.choice(len(monos), size=min(terms, len(monos)), replace=False)
-    return Polynomial(n, {monos[k]: float(rng.standard_normal()) for k in sorted(picks)})
-
-
-def random_homogeneous(rng: np.random.Generator, n_max: int = 5, d_max: int = 4) -> Polynomial:
-    n = int(rng.integers(1, n_max + 1))
-    d = int(rng.integers(1, min(d_max, n) + 1))
-    coeffs = {s: float(rng.standard_normal()) for s in itertools.combinations(range(1, n + 1), d)}
-    scale = np.sqrt(sum(c * c for c in coeffs.values()))
-    return Polynomial(n, {s: c / scale for s, c in coeffs.items()})
-
-
-def random_homogeneous_bml(
-    rng: np.random.Generator, n_max: int = 4, d_max: int = 4
-) -> BlockMultilinearPolynomial:
-    n = int(rng.integers(1, n_max + 1))
-    d = int(rng.integers(1, d_max + 1))
-    coeffs = {
-        tuple(zip(range(1, d + 1), idx)): float(rng.standard_normal())
-        for idx in itertools.product(range(1, n + 1), repeat=d)
-    }
-    return BlockMultilinearPolynomial(n, d, coeffs)
+random_homogeneous = functools.partial(checks.random_homogeneous, n_max=5, d_max=4)
+random_homogeneous_bml = functools.partial(checks.random_homogeneous_bml, n_max=4, d_max=4)
 
 
 def random_nonhomogeneous_bml(

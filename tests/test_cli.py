@@ -55,6 +55,14 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/x.json"]) == 2
 
+    def test_nan_coefficient_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 1, "coeffs": [{"subset": [1], "value": NaN}]}')
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
 
 class TestFcb:
     def test_value_and_witness(self, tmp_path, capsys):

@@ -80,6 +80,12 @@ class TestBmlFormat:
         with pytest.raises(ParseError, match="increasing"):
             load_bml(path)
 
+    def test_nan_coefficient(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text('{"n": 1, "d": 1, "coeffs": [{"pairs": [[1, 1]], "value": NaN}]}')
+        with pytest.raises(ParseError, match="not finite"):
+            load_bml(path)
+
 
 class TestWitnessFormat:
     def test_round_trip(self, tmp_path):

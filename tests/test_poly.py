@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcblab import (
+    BlockMultilinearPolynomial,
     CapacityError,
     Polynomial,
     degree_part,
@@ -261,6 +262,12 @@ class TestValidation:
 
     def test_zero_coefficients_dropped(self):
         assert Polynomial(2, {(1,): 0.0}).coeffs == {}
+
+    def test_non_finite_coefficient(self):
+        with pytest.raises(ValueError, match="not finite"):
+            Polynomial(1, {(1,): float("inf")})
+        with pytest.raises(ValueError, match="not finite"):
+            BlockMultilinearPolynomial(1, 1, {((1, 1),): float("nan")})
 
     def test_degree_of_zero_polynomial(self):
         assert Polynomial(3, {}).degree == 0

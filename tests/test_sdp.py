@@ -8,6 +8,7 @@ from fcblab import (
     ConvergenceError,
     Polynomial,
     bitstring_witness,
+    enumerate_classes,
     evaluate_on_witness,
     fcb_norm,
     homogeneous_fcb_witness,
@@ -32,19 +33,30 @@ def random_degree_one(rng, n_max=4):
 
 
 class TestBuild:
+    # Row u is row 0, so svec entry (0, j) sits at position j, scaled by sqrt(2).
+
     def test_single_variable_dimensions(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)
         assert prob.dim == 4  # u, v, v_(1), v_(2)
-        assert prob.num_class_equalities == 0
+        assert prob.variable.max() + 1 == 10 - 2  # no ties, two fixed diagonals
         idx = prob.word_index[(1,)]
-        assert prob.objective[0, idx] == 0.5
-        assert prob.objective[idx, 0] == 0.5
+        assert list(np.flatnonzero(prob.objective)) == [idx]
+        assert prob.objective[idx] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
 
     def test_equality_count_n2_d2(self):
         prob = build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
         assert prob.dim == 14
-        assert prob.num_class_equalities == 5  # 9 words in 4 classes
-        assert len(prob.equalities) == 5 + 2
+        svec_size = 14 * 15 // 2
+        assert prob.variable.size == svec_size
+        v_diag = prob.word_index[()] * 14  # svec entry (v, v) with v at row 1
+        assert list(np.flatnonzero(prob.variable < 0)) == [0, v_diag]
+        classes = enumerate_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
+        assert sum(len(members) for members in classes.values()) == 9
+        assert len(classes) == 4
+        assert prob.variable.max() + 1 == svec_size - 2 - 5
+        shared = [{prob.variable[prob.word_index[w]] for w in members} for members in classes.values()]
+        assert all(len(ids) == 1 for ids in shared)
+        assert len(set.union(*shared)) == 4
 
     def test_zero_polynomial_objective(self):
         prob = build_fcb_sdp(Polynomial(2, {}), 2)
@@ -102,7 +114,7 @@ class TestSolveAnchors:
         assert value <= spectral_l1(maj3()) + 1e-4
 
     def test_convergence_error_names_every_residual(self):
-        with pytest.raises(ConvergenceError, match=r"primal \S+, dual \S+, equality \S+"):
+        with pytest.raises(ConvergenceError, match=r"primal \S+, dual \S+\)"):
             fcb_norm(Polynomial(1, {(1,): 1.0}), 1, max_iters=3)
 
     def test_slow_drift_instance_converges_quickly(self):
@@ -183,6 +195,18 @@ class TestExtractWitness:
         w = extract_witness(sol, prob)
         assert verify_bb(w, 1e-6)["pass"]
         assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-4)
+
+    def test_rank_deficient_optima_extract(self):
+        # Criterion-5-style d=2 instances; with eigen-directions below the
+        # solve tolerance kept, instances 11 and 13 were refused.
+        rng = np.random.default_rng(2024)
+        for k in range(20):
+            p = random_poly(rng, 3 if k % 2 == 0 else 4, 2, 5)
+            prob = build_fcb_sdp(p, 2)
+            sol = solve_sdp(prob)
+            w = extract_witness(sol, prob)
+            assert verify_bb(w, 1e-6)["pass"], k
+            assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-4), k
 
     def test_refuses_unconverged(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)

@@ -249,3 +249,12 @@ class TestContractionCheck:
         report = contraction_check(np.diag(diag), 1e-9)
         assert report["sigma_max"] == pytest.approx(3.0, rel=1e-6)
         assert not report["pass"]
+
+    def test_large_matrix_annihilating_all_ones(self):
+        # sigma = 2 with A·1 = 0: a power iteration started from the all-ones
+        # vector sees nothing and would report 0.
+        a = np.zeros((600, 600))
+        a[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+        report = contraction_check(a, 1e-9)
+        assert report["sigma_max"] == pytest.approx(2.0, abs=1e-12)
+        assert not report["pass"]
