@@ -6,19 +6,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import checks, fileio, qsim
 from .behavior import verify_bb
-from .errors import CapacityError, ConvergenceError, ExtractionError, FcblabError, ParseError
-from .poly import (
-    Polynomial,
-    greedy_simulate,
-    restrict,
-    spectral_l1,
-    statistics,
-    sup_norm_bruteforce,
-)
+from .errors import FcblabError
+from .poly import _greedy_walk, spectral_l1, statistics, sup_norm_bruteforce
 from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL, build_fcb_sdp, extract_witness, solve_sdp
 from .witnesses import (
     BML_GENERAL,
@@ -58,13 +49,9 @@ def _cmd_analyze(args) -> int:
     if args.greedy is not None:
         y = [int(tok) for tok in args.greedy.split(",")]
         budget = args.budget if args.budget is not None else p.n
-        estimate, queried = greedy_simulate(p, y, budget)
-        rest = p
-        for step, i in enumerate(queried):
-            shift = sum(1 for j in queried[:step] if j < i)
-            rest = restrict(rest, i - shift, y[i - 1])
+        rest, queried = _greedy_walk(p, y, budget)
         report["greedy"] = {
-            "estimate": estimate,
+            "estimate": rest.constant_term,
             "queried": queried,
             "budget": budget,
             "residual_variance": statistics(rest).variance,
@@ -251,10 +238,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CapacityError, ConvergenceError, ExtractionError, FcblabError, ValueError, IndexError) as e:
+    except (FcblabError, FileNotFoundError, ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

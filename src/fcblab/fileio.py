@@ -10,7 +10,9 @@ Certificate:     witness fields plus {"kind", "certified_value",
                  "A_blocks" (d x n matrices) instead of "A".
 
 Subsets must be sorted ascending and blocks strictly increasing; duplicates
-are rejected.
+are rejected.  Sizes and indices must be JSON integers and coefficient and
+certificate values JSON numbers: booleans, strings and floats in an integer
+field (even 2.0) are rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -43,25 +45,47 @@ def _require(data: dict, key: str, path) -> object:
     return data[key]
 
 
+def _integer(value, what: str, path) -> int:
+    # bool is a subclass of int, so JSON true would otherwise read as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: {what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, what: str, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: {what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _entries(data: dict, key: str, path) -> list[tuple[list, float]]:
+    """(entry[key], value) for each coefficient entry: a list and a JSON number."""
+    entries = _require(data, "coeffs", path)
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: 'coeffs' must be a list")
+    out = []
+    for entry in entries:
+        fields = entry if isinstance(entry, dict) else {}
+        if not isinstance(fields.get(key), list) or "value" not in fields:
+            raise ParseError(f"{path}: each coefficient needs a list {key!r} and a 'value': {json.dumps(entry)}")
+        out.append((fields[key], _number(fields["value"], "a coefficient value", path)))
+    return out
+
+
 def load_polynomial(path: str | Path) -> Polynomial:
     data = _load_json(path)
-    n = _require(data, "n", path)
-    entries = _require(data, "coeffs", path)
-    if not isinstance(n, int) or n < 0:
+    n = _integer(_require(data, "n", path), "n", path)
+    if n < 0:
         raise ParseError(f"{path}: n must be a nonnegative integer")
     coeffs = {}
-    for entry in entries:
-        subset = entry.get("subset")
-        if subset is None or "value" not in entry:
-            raise ParseError(f"{path}: each coefficient needs 'subset' and 'value'")
-        if any(not isinstance(i, int) for i in subset):
-            raise ParseError(f"{path}: subset {subset} not integer-valued")
-        if list(subset) != sorted(set(subset)):
+    for raw, value in _entries(data, "subset", path):
+        subset = [_integer(i, "a subset entry", path) for i in raw]
+        if subset != sorted(set(subset)):
             raise ParseError(f"{path}: subset not sorted ascending or has duplicates: {subset}")
         key = tuple(subset)
         if key in coeffs:
             raise ParseError(f"{path}: duplicate subset {subset}")
-        coeffs[key] = float(entry["value"])
+        coeffs[key] = value
     try:
         return Polynomial(n, coeffs)
     except ValueError as e:
@@ -82,21 +106,19 @@ def save_polynomial(p: Polynomial, path: str | Path) -> None:
 
 def load_bml(path: str | Path) -> BlockMultilinearPolynomial:
     data = _load_json(path)
-    n = _require(data, "n", path)
-    d = _require(data, "d", path)
-    entries = _require(data, "coeffs", path)
+    n = _integer(_require(data, "n", path), "n", path)
+    d = _integer(_require(data, "d", path), "d", path)
     coeffs = {}
-    for entry in entries:
-        pairs = entry.get("pairs")
-        if pairs is None or "value" not in entry:
-            raise ParseError(f"{path}: each coefficient needs 'pairs' and 'value'")
-        key = tuple((int(b), int(i)) for b, i in pairs)
+    for pairs, value in _entries(data, "pairs", path):
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ParseError(f"{path}: each pair must be [block, index]: {pairs}")
+        key = tuple((_integer(b, "a block", path), _integer(i, "an index", path)) for b, i in pairs)
         blocks = [b for b, _ in key]
         if blocks != sorted(set(blocks)):
             raise ParseError(f"{path}: blocks not strictly increasing: {pairs}")
         if key in coeffs:
             raise ParseError(f"{path}: duplicate key {pairs}")
-        coeffs[key] = float(entry["value"])
+        coeffs[key] = value
     try:
         return BlockMultilinearPolynomial(n, d, coeffs)
     except ValueError as e:
@@ -140,8 +162,8 @@ def save_witness(w: Witness, path: str | Path) -> None:
 
 
 def _parse_witness(data: dict, path) -> Witness:
-    m = _require(data, "m", path)
-    d = _require(data, "d", path)
+    m = _integer(_require(data, "m", path), "m", path)
+    d = _integer(_require(data, "d", path), "d", path)
     u = np.array(_require(data, "u", path), dtype=float)
     v = np.array(_require(data, "v", path), dtype=float)
     mats = _require(data, "A", path)
@@ -149,7 +171,7 @@ def _parse_witness(data: dict, path) -> Witness:
     if a.ndim != 3 or a.shape[1:] != (m, m) or u.shape != (m,) or v.shape != (m,):
         raise ParseError(f"{path}: witness dimensions are inconsistent with m={m}")
     try:
-        return Witness(d=int(d), u=u, v=v, A=a)
+        return Witness(d=d, u=u, v=v, A=a)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
 
@@ -159,7 +181,7 @@ def load_witness(path: str | Path) -> Witness:
 
 
 def _parse_bml_witness(data: dict, path) -> BmlWitness:
-    m = _require(data, "m", path)
+    m = _integer(_require(data, "m", path), "m", path)
     u = np.array(_require(data, "u", path), dtype=float)
     v = np.array(_require(data, "v", path), dtype=float)
     a = np.array(_require(data, "A_blocks", path), dtype=float)
@@ -191,7 +213,7 @@ def load_certificate(path: str | Path) -> InfluenceCertificate:
     return InfluenceCertificate(
         kind=str(kind),
         witness=witness,
-        certified_value=float(_require(data, "certified_value", path)),
-        implied_bound=float(_require(data, "implied_bound", path)),
-        s_or_d=int(_require(data, "s_or_D", path)),
+        certified_value=_number(_require(data, "certified_value", path), "certified_value", path),
+        implied_bound=_number(_require(data, "implied_bound", path), "implied_bound", path),
+        s_or_d=_integer(_require(data, "s_or_D", path), "s_or_D", path),
     )

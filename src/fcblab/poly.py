@@ -297,14 +297,13 @@ def spectral_l1(p: Polynomial) -> float:
     return sum(abs(c) for c in p.coeffs.values())
 
 
-def greedy_simulate(p: Polynomial, y: Sequence[int], budget: int) -> tuple[float, list[int]]:
-    """Estimate p(y) by querying the most influential variable ``budget`` times.
+def _greedy_walk(p: Polynomial, y: Sequence[int], budget: int) -> tuple[Polynomial, list[int]]:
+    """Query y at the most influential variable ``budget`` times, restricting each time.
 
-    Each step queries y at the highest-influence variable of the current
-    restriction (ties toward the smallest index) and restricts.  Stops early
-    when the remaining variance is zero.  Returns the constant coefficient of
-    the final restriction together with the queried variable indices
-    (numbered as in the original polynomial).
+    Each step queries the highest-influence variable of the current
+    restriction (ties toward the smallest index) and stops early when the
+    remaining variance is zero.  Returns the final restriction and the
+    queried indices, numbered as in the original polynomial.
     """
     sy = _sign_vector(y, p.n)
     if not (0 <= budget <= p.n):
@@ -321,6 +320,12 @@ def greedy_simulate(p: Polynomial, y: Sequence[int], budget: int) -> tuple[float
         current = restrict(current, j, int(sy[orig - 1]))
         remaining.pop(j - 1)
         queried.append(orig)
+    return current, queried
+
+
+def greedy_simulate(p: Polynomial, y: Sequence[int], budget: int) -> tuple[float, list[int]]:
+    """Estimate p(y) as the constant term after the greedy walk; also return the queried indices."""
+    current, queried = _greedy_walk(p, y, budget)
     return current.constant_term, queried
 
 

@@ -172,10 +172,11 @@ class _SvecSpace:
         self.lower = cols * dim + rows  # flat position of its mirror image
 
     def to_matrix(self, vec: np.ndarray) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim))
+        """The symmetric matrix of each svec vector of a stack (shape (..., size))."""
+        mat = np.zeros(vec.shape[:-1] + (self.dim, self.dim))
         vals = vec / self.scale
-        mat[self.rows, self.cols] = vals
-        mat[self.cols, self.rows] = vals
+        mat[..., self.rows, self.cols] = vals
+        mat[..., self.cols, self.rows] = vals
         return mat
 
     def psd_project(self, vecs: np.ndarray) -> np.ndarray:
@@ -247,43 +248,34 @@ class _Anderson:
         return step - gamma @ self.ds[:k]
 
 
-def solve_sdp(
-    prob: SdpProblem,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    rho: float = 1.0,
-) -> SdpSolution:
+def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Run the accelerated consensus ADMM iteration until residuals fall below tol.
 
     The primal residual is the larger of ||F x - z|| / (1 + ||F x||) and the
     largest entry of |F x - z|; the dual residual is
-    rho ||(F T)^T (z - z_prev)|| / (1 + ||c||).  Residual balancing compares
-    the dual residual with the relative primal norm.  Returns
-    converged=False (with residuals) when the iteration budget is exhausted;
-    callers decide whether that is fatal.
+    rho ||(F T)^T (z - z_prev)|| / (1 + ||c||), with the penalty rho starting
+    at 1.  Residual balancing compares the dual residual with the relative
+    primal norm.  Returns converged=False (with residuals) when the iteration
+    budget is exhausted; callers decide whether that is fatal.
     """
     space = _SvecSpace(prob.dim)
     n_vec = space.size
 
-    # Every localizer selects the same number of words, so the slacks share one svec space.
-    loc_space = _SvecSpace(len(prob.localizers[0][1]) if prob.localizers else 0)
+    # Every localizer selects the same base words, so the slacks share one svec
+    # space and one base index; row k of loc_shift belongs to letter k + 1.
+    base_words = prob.localizers[0][1]
+    loc_space = _SvecSpace(len(base_words))
     loc_size = loc_space.size
-    loc_pairs = [
-        (
-            _svec_index(prob.dim, base[loc_space.rows], base[loc_space.cols]),
-            _svec_index(prob.dim, shifted[loc_space.rows], shifted[loc_space.cols]),
-        )
-        for shifted, base in prob.localizers
-    ]
-    n_loc = len(loc_pairs)
+    loc_base = _svec_index(prob.dim, base_words[loc_space.rows], base_words[loc_space.cols])
+    words = np.array([shifted for shifted, _ in prob.localizers])
+    loc_shift = _svec_index(prob.dim, words[:, loc_space.rows], words[:, loc_space.cols])
 
-    blocks = [sp.identity(n_vec, format="csr")]
-    for base_idx, shift_idx in loc_pairs:
-        rows = np.repeat(np.arange(loc_size), 2)
-        cols = np.stack([base_idx, shift_idx], axis=1).reshape(-1)
-        vals = np.tile([1.0, -1.0], loc_size)
-        blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(loc_size, n_vec)))
-    F = sp.vstack(blocks, format="csr")
+    cols = np.stack([np.broadcast_to(loc_base, loc_shift.shape), loc_shift], axis=-1).reshape(-1)
+    localizer_rows = sp.csr_matrix(
+        (np.tile([1.0, -1.0], loc_shift.size), (np.repeat(np.arange(loc_shift.size), 2), cols)),
+        shape=(loc_shift.size, n_vec),
+    )
+    F = sp.vstack([sp.identity(n_vec, format="csr"), localizer_rows], format="csr")
 
     # x = x0 + T y meets the class ties and the fixed diagonals for every y,
     # so the ADMM runs on y through G = F T.
@@ -306,13 +298,14 @@ def solve_sdp(
         out = np.empty_like(vec)
         out[:n_vec] = space.psd_project(vec[:n_vec])
         if loc_size:
-            slacks = vec[n_vec:].reshape(n_loc, loc_size)
+            slacks = vec[n_vec:].reshape(loc_shift.shape)
             out[n_vec:] = loc_space.psd_project(slacks).reshape(-1)
         return out
 
     # The state is the point v that the projection is applied to: z = P(v) is
     # the consensus copy and u = v - z the scaled dual, so one plain ADMM step
     # maps v to F x + u, and Anderson acceleration extrapolates across steps.
+    rho = 1.0
     v = np.zeros(F.shape[0])
     z = project_blocks(v)
     accel = _Anderson(v.size)
@@ -371,8 +364,7 @@ def solve_sdp(
     moment = space.to_matrix(x)
     min_slack = 0.0
     if loc_size:
-        slacks = np.array([loc_space.to_matrix(x[b] - x[s]) for b, s in loc_pairs])
-        min_slack = float(np.linalg.eigvalsh(slacks).min())
+        min_slack = float(np.linalg.eigvalsh(loc_space.to_matrix(x[loc_base] - x[loc_shift])).min())
 
     return SdpSolution(
         value=float(c @ x),
@@ -425,14 +417,12 @@ def extract_witness(sol: SdpSolution, prob: SdpProblem) -> Witness:
 
     u = factors[0]
     v = factors[prob.word_index[()]]
-    base_rows = [prob.word_index[w] for w in prob.words if len(w) <= prob.d - 1]
-    base = factors[base_rows].T  # rank x |W0|
+    base = factors[prob.localizers[0][1]].T  # rank x |W0|
     base_pinv = np.linalg.pinv(base, rcond=PINV_RCOND)
 
     A = np.zeros((prob.n + 1, rank, rank))
-    for i in range(1, prob.n + 2):
-        shifted_rows = [prob.word_index[(i,) + w] for w in prob.words if len(w) <= prob.d - 1]
-        target = factors[shifted_rows].T
+    for i, (shifted, _) in enumerate(prob.localizers, start=1):
+        target = factors[shifted].T
         mat = target @ base_pinv
         left, sing, right = np.linalg.svd(mat)
         excess = float(max(0.0, sing.max(initial=0.0) - 1.0))

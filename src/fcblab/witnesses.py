@@ -8,13 +8,16 @@ product with the left vector isolates a single coefficient.  Evaluating the
 polynomial on such a triple therefore returns a ratio of its variance to a
 root influence, which rearranges into a lower bound on the maximum influence
 whenever the relevant norm is at most 1.
+
+The homogeneous fcb and general block-multilinear certificates share one
+builder, `_annihilation_tuple`; only their index sets and letters differ.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -76,6 +79,28 @@ def contraction_check(a: np.ndarray, tol: float) -> dict:
     return {"sigma_max": sigma, "pass": bool(sigma <= 1.0 + tol)}
 
 
+def _annihilation_tuple(coeffs, sets, letters, slot, root):
+    """Flat tuple (u, v, A) on the basis {v} + {f_S : S in sets}, with u = f_{}.
+
+    The matrix A[slot[x]] of variable x sends v to sum_K coeffs[K]/root f_{K-{x}}
+    over keys K containing x and f_S to f_{S-{x}} for S in sets containing x;
+    ``letters`` is the leading shape of A.
+    """
+    f_index = {s: 1 + k for k, s in enumerate(sets)}  # basis position 0 is v
+    m = 1 + len(sets)
+    A = np.zeros(letters + (m, m))
+    columns = [(key, 0, c / root) for key, c in coeffs.items()]
+    columns += [(s, f_index[s], 1.0) for s in sets]
+    for key, col, val in columns:
+        for x in key:
+            A[slot[x] + (f_index[tuple(y for y in key if y != x)], col)] = val
+    u = np.zeros(m)
+    u[f_index[()]] = 1.0
+    v = np.zeros(m)
+    v[0] = 1.0
+    return u, v, A
+
+
 def homogeneous_fcb_witness(p: Polynomial) -> InfluenceCertificate:
     """Boolean-behavior triple achieving Var[p]/sqrt(MaxInf[p]) for homogeneous p.
 
@@ -92,28 +117,13 @@ def homogeneous_fcb_witness(p: Polynomial) -> InfluenceCertificate:
     if st.variance == 0.0:
         raise ValueError("zero polynomial has no influence certificate")
     n = p.n
-    root = sqrt(st.max_influence)
-
     subsets = sorted(
         s for r in range(d) for s in itertools.combinations(range(1, n + 1), r)
     )
-    f_index = {s: 1 + k for k, s in enumerate(subsets)}  # slot 0 is v
-    m = 1 + len(subsets)
-    assert m == 1 + sum(comb(n, r) for r in range(d))
-
-    A = np.zeros((n + 1, m, m))
-    for s, c in p.coeffs.items():
-        for i in s:
-            A[i - 1, f_index[tuple(j for j in s if j != i)], 0] = c / root
-    for s in subsets:
-        for i in s:
-            A[i - 1, f_index[tuple(j for j in s if j != i)], f_index[s]] = 1.0
-    # A[n] stays zero: the frozen letter annihilates everything.
-
-    u = np.zeros(m)
-    u[f_index[()]] = 1.0
-    v = np.zeros(m)
-    v[0] = 1.0
+    # No key contains the frozen letter n+1, so A[n] stays zero and annihilates everything.
+    u, v, A = _annihilation_tuple(
+        p.coeffs, subsets, (n + 1,), {i: (i - 1,) for i in range(1, n + 1)}, sqrt(st.max_influence)
+    )
     witness = Witness(d=d, u=u, v=v, A=A)
     value = evaluate_on_witness(p, witness)
     return InfluenceCertificate(
@@ -238,29 +248,14 @@ def bml_general_witness(p: BlockMultilinearPolynomial) -> InfluenceCertificate:
     part_vars = [bml_variance(degree_part(p, r)) for r in range(p.d + 1)]
     D = max(range(1, p.d + 1), key=lambda r: (part_vars[r], -r))
     pD = degree_part(p, D)
-    infD = bml_influences(pD)
-    max_inf = float(infD.max())
-    root = sqrt(max_inf)
-
-    n, d = p.n, p.d
-    sets = _partial_sets(n, d, D - 1)
-    f_index = {sett: 1 + k for k, sett in enumerate(sets)}  # slot 0 is v
-    m = 1 + len(sets)
-
-    A = np.zeros((d, n, m, m))
-    for key, c in pD.coeffs.items():
-        for b, i in key:
-            rest = tuple(pair for pair in key if pair != (b, i))
-            A[b - 1, i - 1, f_index[rest], 0] = c / root
-    for sett, col in f_index.items():
-        for b, i in sett:
-            rest = tuple(pair for pair in sett if pair != (b, i))
-            A[b - 1, i - 1, f_index[rest], col] = 1.0
-
-    u = np.zeros(m)
-    u[f_index[()]] = 1.0
-    v = np.zeros(m)
-    v[0] = 1.0
+    d = p.d
+    u, v, A = _annihilation_tuple(
+        pD.coeffs,
+        _partial_sets(p.n, d, D - 1),
+        (d, p.n),
+        {(b, i): (b - 1, i - 1) for b in range(1, d + 1) for i in range(1, p.n + 1)},
+        sqrt(float(bml_influences(pD).max())),
+    )
     witness = BmlWitness(u=u, v=v, A=A)
     value = evaluate_bml_on_matrices(p, u, v, witness.blocks())
     return InfluenceCertificate(

@@ -4,7 +4,7 @@ import pytest
 
 from fcblab.cli import main
 from fcblab.fileio import save_bml, save_polynomial
-from fcblab.poly import BlockMultilinearPolynomial
+from fcblab.poly import BlockMultilinearPolynomial, Polynomial, restrict, statistics
 
 from conftest import maj3
 
@@ -38,6 +38,19 @@ class TestAnalyze:
         assert report["greedy"]["queried"] == [1]
         assert report["greedy"]["residual_variance"] > 0.0
 
+    def test_greedy_residual_after_shifted_query(self, tmp_path, capsys):
+        # influences 9, 1.25, 4.25: x1 is queried first, then x3, which is
+        # variable 2 of the restriction once x1 is gone
+        p = Polynomial(3, {(1,): 3.0, (2,): 1.0, (3,): 2.0, (2, 3): 0.5})
+        path = tmp_path / "p.json"
+        save_polynomial(p, path)
+        assert main(["analyze", str(path), "--greedy", "1,-1,-1", "--budget", "2"]) == 0
+        greedy = json.loads(capsys.readouterr().out)["greedy"]
+        assert greedy["queried"] == [1, 3]
+        by_hand = restrict(restrict(p, 1, 1), 2, -1)  # left: -2 + 0.5 x1
+        assert greedy["residual_variance"] == statistics(by_hand).variance == 0.25
+        assert greedy["estimate"] == by_hand.constant_term
+
     def test_zero_polynomial(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 2, "coeffs": []}))
@@ -62,6 +75,14 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    def test_boolean_entries_are_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "coeffs": [{"subset": [True], "value": True}]}))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coefficient value must be a number" in captured.err
 
 
 class TestFcb:
@@ -110,6 +131,16 @@ class TestWitnessCommand:
         assert main(["witness", str(path), "--kind", "bml-gen"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "bml_general"
+
+    def test_float_index_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(
+            json.dumps({"n": 2, "d": 2, "coeffs": [{"pairs": [[1, 1.7], [2, True]], "value": 1.0}]})
+        )
+        assert main(["witness", str(path), "--kind", "bml-gen"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer, got 1.7" in captured.err
 
 
 class TestSimulate:

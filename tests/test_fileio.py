@@ -64,6 +64,26 @@ class TestPolynomialFormat:
         with pytest.raises(ParseError, match="out of range"):
             load_polynomial(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # JSON true is a Python int, so this file once loaded as the polynomial x1
+            ({"n": 2, "coeffs": [{"subset": [True], "value": True}]}, "coefficient value must be a number"),
+            (
+                {"n": 2, "coeffs": [{"subset": [True], "value": 1.0}]},
+                "subset entry must be an integer, got true",
+            ),
+            ({"n": 2, "coeffs": [{"subset": [1], "value": True}]}, "coefficient value must be a number"),
+            ({"n": True, "coeffs": [{"subset": [1], "value": 1.0}]}, "n must be an integer"),
+        ],
+        ids=["bool-subset-and-value", "bool-subset-entry", "bool-value", "bool-n"],
+    )
+    def test_non_integer_fields(self, tmp_path, payload, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=message):
+            load_polynomial(path)
+
 
 class TestBmlFormat:
     def test_round_trip(self, tmp_path):
@@ -84,6 +104,32 @@ class TestBmlFormat:
         path = tmp_path / "b.json"
         path.write_text('{"n": 1, "d": 1, "coeffs": [{"pairs": [[1, 1]], "value": NaN}]}')
         with pytest.raises(ParseError, match="not finite"):
+            load_bml(path)
+
+    @pytest.mark.parametrize(
+        "n, d, pairs, value, message",
+        [
+            # int() once truncated these pairs to [[1, 1], [2, 1]]
+            (2, 2, [[1, 1.7], [2, True]], 1.0, "index must be an integer, got 1.7"),
+            (2, 2, [[1, 1], [2, True]], 1.0, "index must be an integer, got true"),
+            (2, 2, [[1.0, 1]], 1.0, "block must be an integer, got 1.0"),
+            (2, 2.5, [[1, 1]], 1.0, "d must be an integer"),
+            (True, 1, [[1, 1]], 1.0, "n must be an integer"),
+            (1, 1, [[1, 1]], False, "coefficient value must be a number"),
+        ],
+        ids=[
+            "float-and-bool-index",
+            "bool-index",
+            "integral-float-block",
+            "non-integral-d",
+            "bool-n",
+            "bool-value",
+        ],
+    )
+    def test_non_integer_fields(self, tmp_path, n, d, pairs, value, message):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"n": n, "d": d, "coeffs": [{"pairs": pairs, "value": value}]}))
+        with pytest.raises(ParseError, match=message):
             load_bml(path)
 
 
@@ -117,6 +163,22 @@ class TestCertificateFormat:
         assert loaded.implied_bound == cert.implied_bound
         assert loaded.s_or_d == cert.s_or_d
         assert np.array_equal(loaded.witness.A, cert.witness.A)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("s_or_D", 2.7, "s_or_D must be an integer, got 2.7"),  # int() once read 2
+            ("certified_value", True, "certified_value must be a number, got true"),
+        ],
+    )
+    def test_non_numeric_fields(self, tmp_path, field, value, message):
+        path = tmp_path / "c.json"
+        save_certificate(homogeneous_fcb_witness(Polynomial(2, {(1, 2): 1.0})), path)
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=message):
+            load_certificate(path)
 
     def test_bml_round_trip(self, tmp_path):
         p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})

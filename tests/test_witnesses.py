@@ -160,6 +160,27 @@ class TestBmlGeneralWitness:
         target = bml_variance(p) / math.sqrt(float(infs.max()))
         assert cert.certified_value == pytest.approx(target, abs=1e-9)
 
+    def test_two_block_entries(self):
+        p = BlockMultilinearPolynomial(
+            2, 2, {((1, 1), (2, 2)): 0.6, ((1, 2), (2, 2)): 0.8, ((2, 1),): 0.5}
+        )
+        cert = bml_general_witness(p)
+        assert cert.s_or_d == 2  # Var[p_=2] = 1 beats Var[p_=1] = 0.25
+        assert cert.certified_value == pytest.approx(1.0, abs=1e-15)
+        assert cert.implied_bound == pytest.approx((1.25 / 2) ** 2, abs=1e-15)
+        # basis order: v, f_(), f_(1,1), f_(1,2), f_(2,1), f_(2,2); MaxInf = Inf_(2,2) = 1
+        w = cert.witness
+        assert np.array_equal(w.u, np.eye(6)[1])
+        assert np.array_equal(w.v, np.eye(6)[0])
+        expected = np.zeros((2, 2, 6, 6))
+        expected[0, 0][5, 0] = 0.6  # A_1(1) v = 0.6 f_(2,2)
+        expected[0, 1][5, 0] = 0.8  # A_1(2) v = 0.8 f_(2,2)
+        expected[1, 1][2, 0] = 0.6  # A_2(2) v = 0.6 f_(1,1) + 0.8 f_(1,2)
+        expected[1, 1][3, 0] = 0.8
+        for col, (b, i) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2)), start=2):
+            expected[b - 1, i - 1][1, col] = 1.0  # A_b(i) f_(b,i) = f_()
+        assert np.array_equal(w.A, expected)
+
     def test_tie_break_toward_smallest_degree(self):
         p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})
         cert = bml_general_witness(p)
