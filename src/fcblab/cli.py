@@ -83,6 +83,8 @@ def _cmd_fcb(args) -> int:
             "localizer_min_eig_slack": sol.localizer_min_eig_slack,
             "iterations": sol.iterations,
             "converged": sol.converged,
+            "rho": sol.rho,
+            "penalty_changes": sol.penalty_changes,
         }
     )
     if not sol.converged:

@@ -10,9 +10,10 @@ Certificate:     witness fields plus {"kind", "certified_value",
                  "A_blocks" (d x n matrices) instead of "A".
 
 Subsets must be sorted ascending and blocks strictly increasing; duplicates
-are rejected.  Sizes and indices must be JSON integers and coefficient and
-certificate values JSON numbers: booleans, strings and floats in an integer
-field (even 2.0) are rejected rather than coerced.
+are rejected.  Sizes and indices must be JSON integers; coefficient and
+certificate values and every entry of u, v and the matrices must be JSON
+numbers.  Booleans, strings and floats in an integer field (even 2.0) are
+rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ def _number(value, what: str, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: {what} must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def _array(value, what: str, path) -> np.ndarray:
+    """A nested list of JSON numbers as a float array; numpy alone would coerce true and "1.5"."""
+    entries = np.array(value, dtype=object)
+    for entry in entries.flat:
+        if isinstance(entry, list):  # a ragged list leaves lists where numbers belong
+            raise ParseError(f"{path}: {what} is not a rectangular array")
+        _number(entry, f"an entry of {what}", path)
+    return entries.astype(float)
 
 
 def _entries(data: dict, key: str, path) -> list[tuple[list, float]]:
@@ -164,10 +175,9 @@ def save_witness(w: Witness, path: str | Path) -> None:
 def _parse_witness(data: dict, path) -> Witness:
     m = _integer(_require(data, "m", path), "m", path)
     d = _integer(_require(data, "d", path), "d", path)
-    u = np.array(_require(data, "u", path), dtype=float)
-    v = np.array(_require(data, "v", path), dtype=float)
-    mats = _require(data, "A", path)
-    a = np.array(mats, dtype=float)
+    u = _array(_require(data, "u", path), "u", path)
+    v = _array(_require(data, "v", path), "v", path)
+    a = _array(_require(data, "A", path), "A", path)
     if a.ndim != 3 or a.shape[1:] != (m, m) or u.shape != (m,) or v.shape != (m,):
         raise ParseError(f"{path}: witness dimensions are inconsistent with m={m}")
     try:
@@ -182,9 +192,9 @@ def load_witness(path: str | Path) -> Witness:
 
 def _parse_bml_witness(data: dict, path) -> BmlWitness:
     m = _integer(_require(data, "m", path), "m", path)
-    u = np.array(_require(data, "u", path), dtype=float)
-    v = np.array(_require(data, "v", path), dtype=float)
-    a = np.array(_require(data, "A_blocks", path), dtype=float)
+    u = _array(_require(data, "u", path), "u", path)
+    v = _array(_require(data, "v", path), "v", path)
+    a = _array(_require(data, "A_blocks", path), "A_blocks", path)
     if a.ndim != 4 or a.shape[2:] != (m, m) or u.shape != (m,) or v.shape != (m,):
         raise ParseError(f"{path}: witness dimensions are inconsistent with m={m}")
     return BmlWitness(u=u, v=v, A=a)

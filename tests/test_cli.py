@@ -97,6 +97,8 @@ class TestFcb:
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is True
         assert report["value"] == pytest.approx(1.0, abs=1e-3)
+        assert 1e-4 <= report["rho"] <= 1e4
+        assert isinstance(report["penalty_changes"], int)
         assert out_witness.exists()
 
     def test_capacity_override(self, maj3_file, capsys, monkeypatch):
@@ -141,6 +143,20 @@ class TestWitnessCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be an integer, got 1.7" in captured.err
+
+    def test_witness_file_with_boolean_entry_is_parse_error(self, tmp_path, capsys):
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({"n": 2, "coeffs": [{"subset": [1, 2], "value": 1.0}]}))
+        saved = tmp_path / "w.json"
+        assert main(["fcb", str(poly), "--d", "2", "--extract-witness", str(saved)]) == 0
+        capsys.readouterr()
+        data = json.loads(saved.read_text())
+        data["u"][0] = True
+        saved.write_text(json.dumps(data))
+        assert main(["witness", str(saved), "--kind", "fcb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestSimulate:

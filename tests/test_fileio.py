@@ -151,6 +151,24 @@ class TestWitnessFormat:
         with pytest.raises(ParseError, match="inconsistent"):
             load_witness(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("u", [True], r"an entry of u must be a number, got true"),  # np.array once read 1.0
+            ("v", ["1.0"], r"an entry of v must be a number, got \"1.0\""),
+            ("A", [[[1.0]], [[False]]], r"an entry of A must be a number, got false"),
+            ("A", [[[1.0]], [[None]]], r"an entry of A must be a number, got null"),
+            ("A", [[[1.0]], [[1.0, 0.0]]], r"A is not a rectangular array"),
+        ],
+    )
+    def test_non_numeric_entries(self, tmp_path, field, value, message):
+        path = tmp_path / "w.json"
+        data = {"m": 1, "d": 1, "u": [1.0], "v": [1.0], "A": [[[1.0]], [[1.0]]]}
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=message):
+            load_witness(path)
+
 
 class TestCertificateFormat:
     def test_fcb_round_trip(self, tmp_path):
@@ -189,3 +207,17 @@ class TestCertificateFormat:
         assert loaded.kind == "bml_general"
         assert loaded.s_or_d == 1
         assert np.array_equal(loaded.witness.A, cert.witness.A)
+
+    @pytest.mark.parametrize("field", ["u", "A_blocks"])
+    def test_bml_boolean_entries(self, tmp_path, field):
+        p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})
+        path = tmp_path / "c.json"
+        save_certificate(bml_general_witness(p), path)
+        data = json.loads(path.read_text())
+        entries = data[field]
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[0] = False
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"an entry of {field} must be a number, got false"):
+            load_certificate(path)

@@ -114,7 +114,7 @@ class TestSolveAnchors:
         assert value <= spectral_l1(maj3()) + 1e-4
 
     def test_convergence_error_names_every_residual(self):
-        with pytest.raises(ConvergenceError, match=r"primal \S+, dual \S+\)"):
+        with pytest.raises(ConvergenceError, match=r"primal \S+, dual \S+\); final rho \S+$"):
             fcb_norm(Polynomial(1, {(1,): 1.0}), 1, max_iters=3)
 
     def test_slow_drift_instance_converges_quickly(self):
@@ -134,6 +134,27 @@ class TestSolveAnchors:
         assert sol.converged
         assert sol.iterations <= 10_000
         assert sup_norm_bruteforce(p) - 1e-4 <= sol.value <= spectral_l1(p) + 1e-4
+
+    def test_small_scale_converges_quickly(self):
+        # Polynomial 0 of the benchmark's n=3 restriction panel.  Scaling it
+        # by 0.01 puts the early residuals orders of magnitude out of balance;
+        # penalty steps of a factor of 2 per 100 iterations took 1,200
+        # iterations here against 275 at scale 1.
+        p = Polynomial(
+            3,
+            {
+                (): 0.5709471049138739,
+                (1,): -0.19791667840165786,
+                (2,): -0.5566886616339805,
+                (3,): 0.3510990896085739,
+                (1, 3): -0.40354340659501814,
+            },
+        )
+        small = Polynomial(3, {s: 0.01 * c for s, c in p.coeffs.items()})
+        sol = solve_sdp(build_fcb_sdp(small, 2))
+        assert sol.converged
+        assert sol.iterations <= 300
+        assert sol.value / 0.01 == pytest.approx(fcb_norm(p, 2), abs=1e-5)
 
 
 class TestProperties:
