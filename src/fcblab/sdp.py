@@ -1,24 +1,41 @@
 """Moment-matrix SDP for the Fourier completely bounded d-norm.
 
-One positive semidefinite moment matrix M is indexed by {u} followed by all
-words of length <= d over [n+1] (the empty word is v).  The objective places
-each Fourier coefficient on the (u, canonical word) entry; for every letter
-i the Gram matrix of the shifted vectors {v_{i w}} must be dominated by the
-Gram matrix of {v_w} over words of length <= d-1, which encodes "A(i) is a
-contraction" as a pair of principal-submatrix selections.
+The moment matrix M is indexed by {u} followed by all words of length <= d
+over [n+1] (the empty word is v).  The objective places each Fourier
+coefficient on the (u, canonical word) entry; for every letter i the Gram
+matrix of the shifted vectors {v_{i w}} must be dominated by the Gram matrix
+of {v_w} over words of length <= d-1, which encodes "A(i) is a contraction"
+as a pair of principal-submatrix selections.
 
-The program is built in the symmetric-vectorized (svec) space the solver
-works in, and its equality relations are written into the variable instead
-of being imposed as constraints: every entry <u, v_w> of a parity class of
-length-d words shares the variable of the class's first word, and the
-diagonal entries M[u,u] = M[v,v] = 1 have no variable.  The svec moment
-vector is x = x0 + T y, with x0 holding the two fixed ones and T the 0/1
-map from the free variables y to their entries.
+No tie, localizer or objective term touches an entry <v_{i w}, v_{j w'}> of
+two length-d words with different first letters i != j, so the constraint
+pattern is chordal.  Its cliques are C_i = {u} + W_{<=d-1} + {i w : |w| =
+d-1}, one per letter, and all of them share the separator {u} + W_{<=d-1}
+(d = 0 has the one clique {u, v}).  By Grone, Johnson, Sa & Wolkowicz,
+"Positive definite completions of partial Hermitian matrices" (Linear
+Algebra Appl. 58, 1984), M can be completed to a PSD matrix exactly when
+every clique block M[C_i, C_i] is PSD, so the program asks for n+1 PSD
+clique blocks in place of one D x D cone, with the same optimum (Zheng,
+Fantuzzi, Papachristodoulou, Goulart & Wynn, Math. Prog. 180, 2020).  The
+entries that no clique covers have no variable.  After the solve they are
+filled by the completion M[P_i, P_j] = M[P_i, S] M[S, S]^+ M[S, P_j] of the
+private parts P_i through the separator S, applied to the clique blocks
+shifted by their most negative eigenvalue and shifted back, so the reported
+matrix is no further from PSD than its least PSD clique block.
+
+The program is built in the space the solver works in: the stacked
+symmetric vectorizations (svec) of the clique blocks.  Its equality
+relations are written into the variable instead of being imposed as
+constraints: an entry that several cliques share has one variable, every
+entry <u, v_w> of a parity class of length-d words shares the variable of
+the class's first word, and the diagonal entries M[u,u] = M[v,v] = 1 have
+no variable.  The stacked vector is x = x0 + T y, with x0 holding the fixed
+ones and T the 0/1 map from the free variables y to their entries.
 
 The solver is an in-house consensus ADMM on y: each iteration performs a
 sparse linear solve with (F T)^T (F T) (the only place the objective
-enters), where F stacks the identity and the localizer selections, a PSD
-projection of the moment copy and one batched PSD projection of the
+enters), where F stacks the identity on the clique blocks and the localizer
+selections, one batched PSD projection of the clique blocks and one of the
 localizer slacks, each via eigendecomposition, starting from zero.  The
 ADMM step is plain (no over-relaxation) and is extrapolated by safeguarded
 type-II Anderson acceleration over the last ANDERSON_MEMORY steps; an
@@ -43,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +81,18 @@ RHO_DEAD_BAND = 5.0  # residual ratio within which the penalty is left alone
 RHO_MIN, RHO_MAX = 1e-4, 1e4
 ANDERSON_MEMORY = 20
 ANDERSON_REGULARIZATION = 1e-10  # ridge on the least-squares Gram matrix, relative to its mean diagonal
+COMPLETION_RCOND = 1e-12  # relative cut-off of the separator pseudo-inverse in the completion
 
 
 @dataclass
 class SdpProblem:
     dim: int
-    objective: np.ndarray  # svec vector c with c @ svec(M) = sum_S p_hat(S) M[u, canonical word of S]
-    variable: np.ndarray  # per svec entry, the index of its free variable; -1 where the entry is fixed at 1
-    localizers: list[tuple[np.ndarray, np.ndarray]]  # (rows of v_{i w}, rows of v_w)
+    # One row per clique: the moment indices of u, of the separator words of
+    # length <= d-1 (the same in every row), then of the clique's own length-d words.
+    cliques: np.ndarray
+    objective: np.ndarray  # per clique svec entry, c with c @ svec(blocks) = sum_S p_hat(S) M[u, canonical word of S]
+    variable: np.ndarray  # per clique svec entry, the index of its free variable; -1 where the entry is fixed at 1
+    localizers: list[tuple[np.ndarray, np.ndarray]]  # (rows of v_{i w}, rows of v_w); letter i lies in clique i-1
     n: int
     d: int
     words: list[Word]
@@ -80,7 +102,7 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     value: float
-    moment: np.ndarray
+    moment: np.ndarray  # the solved clique blocks, completed through the separator
     primal_residual: float
     dual_residual: float
     localizer_min_eig_slack: float
@@ -88,6 +110,7 @@ class SdpSolution:
     converged: bool
     rho: float  # the penalty at the end of the solve
     penalty_changes: int  # how many times residual balancing changed the penalty
+    history: list[tuple[int, float, float, float, float]]  # per check: iteration, primal, dual, rho, seconds
 
 
 def _max_dim() -> int:
@@ -132,21 +155,34 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     words = _all_words(n, d)
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
 
-    # Row u is the first row of the svec upper triangle: entry (u, w) sits at
-    # position word_index[w] and carries the sqrt(2) off-diagonal scale.
+    # Clique i-1 holds the length-d words that begin with letter i; d = 0 has
+    # the one clique {u, v}.
+    separator = [0] + [word_index[w] for w in words if len(w) < d]
+    private: dict[Word, list[int]] = {}
+    for w in words:
+        if len(w) == d:
+            private.setdefault(w[:1], []).append(word_index[w])
+    cliques = np.array([separator + members for members in private.values()])
+    rows, cols = np.triu_indices(cliques.shape[1])
+    entry = _svec_index(dim, cliques[:, rows], cliques[:, cols])  # D x D svec position of each clique entry
+
+    # Row u is the first row of the D x D svec upper triangle: entry (u, w)
+    # sits at position word_index[w] and carries the sqrt(2) off-diagonal
+    # scale.  A canonical word has length d, so its entry lies in one clique.
     size = dim * (dim + 1) // 2
     objective = np.zeros(size)
     for s, c in p.coeffs.items():
         objective[word_index[canonical_word(s, d, n)]] = c / np.sqrt(2.0)
 
-    # owner[k] is the svec entry whose variable entry k takes.
+    # owner[k] is the D x D svec entry whose variable entry k takes.
     owner = np.arange(size)
     for members in enumerate_classes(n, d).values():
         owner[[word_index[w] for w in members]] = word_index[members[0]]
     v_diag = _svec_index(dim, word_index[()], word_index[()])
     owner[[0, v_diag]] = -1
+    owner = owner[entry]
     free = owner >= 0
-    variable = np.full(size, -1)
+    variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
 
     base = [word_index[w] for w in words if len(w) <= d - 1]
@@ -157,7 +193,8 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
 
     return SdpProblem(
         dim=dim,
-        objective=objective,
+        cliques=cliques,
+        objective=objective[entry],
         variable=variable,
         localizers=localizers,
         n=n,
@@ -265,22 +302,30 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     rho ||(F T)^T (z - z_prev)|| / (1 + ||c||).  At every residual check the
     relative primal norm is compared with the dual residual, and a ratio
     outside the dead band multiplies rho (starting at 1) by its square root.
-    The solution reports the final rho and the number of changes.  Returns
-    converged=False (with residuals) when the iteration budget is exhausted;
-    callers decide whether that is fatal.
+    The solution reports the final rho, the number of changes and one
+    history row per check.  Returns converged=False (with residuals) when the
+    iteration budget is exhausted; callers decide whether that is fatal.
     """
-    space = _SvecSpace(prob.dim)
-    n_vec = space.size
+    start = time.perf_counter()
+    n_cliques, clique_size = prob.cliques.shape
+    space = _SvecSpace(clique_size)
+    n_vec = n_cliques * space.size
 
-    # Every localizer selects the same base words, so the slacks share one svec
-    # space and one base index; row k of loc_shift belongs to letter k + 1.
-    base_words = prob.localizers[0][1]
-    loc_space = _SvecSpace(len(base_words))
+    # Localizer k lies in clique k, which lists the separator (and so the
+    # base words) in the same places as every other clique.  The slacks share
+    # one svec space; row k of loc_shift belongs to letter k + 1.
+    which = np.arange(n_cliques)[:, None]
+    position = np.zeros((n_cliques, prob.dim), dtype=int)
+    position[which, prob.cliques] = np.arange(clique_size)
+    base = position[0, prob.localizers[0][1]]
+    shifted = position[which, np.array([words for words, _ in prob.localizers])]
+    loc_space = _SvecSpace(base.size)
     loc_size = loc_space.size
-    loc_base = _svec_index(prob.dim, base_words[loc_space.rows], base_words[loc_space.cols])
-    words = np.array([shifted for shifted, _ in prob.localizers])
-    loc_shift = _svec_index(prob.dim, words[:, loc_space.rows], words[:, loc_space.cols])
+    offset = space.size * which
+    loc_base = offset + _svec_index(clique_size, base[loc_space.rows], base[loc_space.cols])
+    loc_shift = offset + _svec_index(clique_size, shifted[:, loc_space.rows], shifted[:, loc_space.cols])
 
+    # (d = 0 has one clique and n + 1 localizers with no rows.)
     cols = np.stack([np.broadcast_to(loc_base, loc_shift.shape), loc_shift], axis=-1).reshape(-1)
     localizer_rows = sp.csr_matrix(
         (np.tile([1.0, -1.0], loc_shift.size), (np.repeat(np.arange(loc_shift.size), 2), cols)),
@@ -288,26 +333,28 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     )
     F = sp.vstack([sp.identity(n_vec, format="csr"), localizer_rows], format="csr")
 
-    # x = x0 + T y meets the class ties and the fixed diagonals for every y,
-    # so the ADMM runs on y through G = F T.
-    free = np.flatnonzero(prob.variable >= 0)
+    # x = x0 + T y meets the shared entries, the class ties and the fixed
+    # diagonals for every y, so the ADMM runs on y through G = F T.
+    variable = prob.variable.reshape(-1)
+    free = np.flatnonzero(variable >= 0)
     T = sp.csr_matrix(
-        (np.ones(free.size), (free, prob.variable[free])),
-        shape=(n_vec, int(prob.variable.max()) + 1),
+        (np.ones(free.size), (free, variable[free])),
+        shape=(n_vec, int(variable.max()) + 1),
     )
-    x0 = np.where(prob.variable >= 0, 0.0, 1.0)
+    x0 = np.where(variable >= 0, 0.0, 1.0)
     G = (F @ T).tocsr()
     Gt = G.T.tocsr()
     solver = splu((Gt @ G).tocsc())
     fx0 = F @ x0
 
-    c = prob.objective
+    c = prob.objective.reshape(-1)
     cy = T.T @ c
     c_norm = 1.0 + np.linalg.norm(c)
 
     def project_blocks(vec: np.ndarray) -> np.ndarray:
         out = np.empty_like(vec)
-        out[:n_vec] = space.psd_project(vec[:n_vec])
+        blocks = vec[:n_vec].reshape(n_cliques, space.size)
+        out[:n_vec] = space.psd_project(blocks).reshape(-1)
         if loc_size:
             slacks = vec[n_vec:].reshape(loc_shift.shape)
             out[n_vec:] = loc_space.psd_project(slacks).reshape(-1)
@@ -330,6 +377,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     dual_res = np.inf
     iterations = penalty_changes = 0
     converged = False
+    history: list[tuple[int, float, float, float, float]] = []
 
     for iteration in range(1, max_iters + 1):
         iterations = iteration
@@ -351,6 +399,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
             # of 2e-5 at tol 1e-6), so every entry is held to tol as well.
             primal_res = max(primal_rel, float(np.abs(mismatch).max()))
             dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
+            history.append((iteration, primal_res, dual_res, rho, time.perf_counter() - start))
             if primal_res <= tol and dual_res <= tol:
                 if passed is not None or iteration == max_iters:
                     converged = True
@@ -373,14 +422,13 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                     penalty_changes += 1
 
     x = x0 + T @ y
-    moment = space.to_matrix(x)
     min_slack = 0.0
     if loc_size:
         min_slack = float(np.linalg.eigvalsh(loc_space.to_matrix(x[loc_base] - x[loc_shift])).min())
 
     return SdpSolution(
         value=float(c @ x),
-        moment=moment,
+        moment=_complete(prob, space.to_matrix(x.reshape(n_cliques, space.size))),
         primal_residual=primal_res,
         dual_residual=dual_res,
         localizer_min_eig_slack=min_slack,
@@ -388,7 +436,38 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         converged=converged,
         rho=rho,
         penalty_changes=penalty_changes,
+        history=history,
     )
+
+
+def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
+    """The D x D moment matrix with the given clique blocks, completed through the separator.
+
+    The private parts P_i, P_j of two cliques meet in M[P_i, S] A^+ M[S, P_j],
+    where A is the separator block M[S, S] plus the shift that makes every
+    clique block PSD.  That completion of the shifted blocks is PSD, so the
+    returned matrix, shifted back, has no eigenvalue below the least one of
+    the clique blocks.
+    """
+    moment = np.zeros((prob.dim, prob.dim))
+    for clique, block in zip(prob.cliques, blocks):
+        moment[np.ix_(clique, clique)] = block
+    if len(prob.cliques) == 1:
+        return moment
+    width = 1 + prob.localizers[0][1].size  # the separator: u and the base words
+    separator = prob.cliques[0, :width]
+    private = prob.cliques[:, width:]
+    shift = max(0.0, -float(np.linalg.eigvalsh(blocks).min()))
+    anchor = moment[np.ix_(separator, separator)] + shift * np.eye(width)
+    cross = moment[np.ix_(separator, private.reshape(-1))]
+    eigvals, eigvecs = np.linalg.eigh(anchor)
+    keep = eigvals > COMPLETION_RCOND * eigvals[-1]
+    half = cross.T @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
+    fill = half @ half.T
+    owner = np.repeat(np.arange(len(private)), private.shape[1])
+    pairs = np.ix_(private.reshape(-1), private.reshape(-1))
+    moment[pairs] = np.where(owner[:, None] != owner[None, :], fill, moment[pairs])
+    return moment
 
 
 def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> float:
@@ -396,9 +475,14 @@ def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = D
     prob = build_fcb_sdp(p, d)
     sol = solve_sdp(prob, tol=tol, max_iters=max_iters)
     if not sol.converged:
+        checks = "; ".join(
+            f"iteration {it}: primal {primal:.2e}, dual {dual:.2e}, rho {rho:.2e}, {seconds:.3f} s"
+            for it, primal, dual, rho, seconds in sol.history[-3:]
+        )
         raise ConvergenceError(
             f"SDP did not reach tol={tol} in {sol.iterations} iterations "
-            f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e}); final rho {sol.rho:.2e}"
+            f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e}); final rho {sol.rho:.2e}; "
+            f"last checks: {checks}"
         )
     return sol.value
 

@@ -8,6 +8,7 @@ from fcblab import (
     ConvergenceError,
     Polynomial,
     bitstring_witness,
+    canonical_word,
     enumerate_classes,
     evaluate_on_witness,
     fcb_norm,
@@ -32,31 +33,96 @@ def random_degree_one(rng, n_max=4):
     return Polynomial(n, coeffs)
 
 
+# Panel polynomial 0 of the benchmark's n=3 and n=4 restriction panels.
+PANEL_N3 = Polynomial(
+    3,
+    {
+        (): 0.5709471049138739,
+        (1,): -0.19791667840165786,
+        (2,): -0.5566886616339805,
+        (3,): 0.3510990896085739,
+        (1, 3): -0.40354340659501814,
+    },
+)
+PANEL_N4 = Polynomial(
+    4,
+    {
+        (): -1.4370300789668762,
+        (1,): -2.2254419647175485,
+        (1, 4): 0.3342536192741122,
+        (2, 3): -0.5213360520606402,
+        (3, 4): -0.2028271317180994,
+    },
+)
+LINEAR_N3 = Polynomial(
+    3, {(): -1.738266398496882, (1,): -1.3366427931811324, (2,): -1.361106708564987, (3,): -0.35161713127840977}
+)
+
+
 class TestBuild:
-    # Row u is row 0, so svec entry (0, j) sits at position j, scaled by sqrt(2).
+    # Within a clique, u is row 0 and v row 1 of the clique block, so clique
+    # svec entry (0, j) sits at position j and the (v, v) entry at position size.
 
     def test_single_variable_dimensions(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)
         assert prob.dim == 4  # u, v, v_(1), v_(2)
-        assert prob.variable.max() + 1 == 10 - 2  # no ties, two fixed diagonals
-        idx = prob.word_index[(1,)]
-        assert list(np.flatnonzero(prob.objective)) == [idx]
-        assert prob.objective[idx] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+        assert prob.cliques.tolist() == [[0, 1, 2], [0, 1, 3]]
+        # 9 covered entries (not the pair v_(1), v_(2)), no ties, two fixed diagonals
+        assert prob.variable.max() + 1 == 9 - 2
+        assert list(np.flatnonzero(prob.objective)) == [2]  # (u, v_(1)) in clique 0
+        assert prob.objective[0, 2] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
 
     def test_equality_count_n2_d2(self):
         prob = build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
         assert prob.dim == 14
-        svec_size = 14 * 15 // 2
-        assert prob.variable.size == svec_size
-        v_diag = prob.word_index[()] * 14  # svec entry (v, v) with v at row 1
-        assert list(np.flatnonzero(prob.variable < 0)) == [0, v_diag]
+        assert prob.cliques.shape == (3, 8)  # u, v, three length-1 words, three length-2 words
+        clique_svec = 8 * 9 // 2
+        assert prob.variable.shape == (3, clique_svec)
+        assert [list(np.flatnonzero(row < 0)) for row in prob.variable] == [[0, 8]] * 3
         classes = enumerate_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
         assert sum(len(members) for members in classes.values()) == 9
         assert len(classes) == 4
-        assert prob.variable.max() + 1 == svec_size - 2 - 5
-        shared = [{prob.variable[prob.word_index[w]] for w in members} for members in classes.values()]
+        # 78 of the 105 entries of the 14 x 14 upper triangle lie in a clique
+        assert prob.variable.max() + 1 == 78 - 2 - 5
+        # A separator entry has one variable in every clique: (u, v_(1)) is entry 2.
+        assert len(set(prob.variable[:, 2])) == 1
+        # Entry (u, w) of a length-2 word sits in the clique of its first letter.
+        column = {(k, int(j)): c for k, clique in enumerate(prob.cliques) for c, j in enumerate(clique)}
+        shared = [
+            {prob.variable[w[0] - 1, column[w[0] - 1, prob.word_index[w]]] for w in members}
+            for members in classes.values()
+        ]
         assert all(len(ids) == 1 for ids in shared)
         assert len(set.union(*shared)) == 4
+
+    @pytest.mark.parametrize("n, d", [(2, 0), (1, 1), (2, 2), (3, 3)])
+    def test_cliques_cover_every_constraint(self, n, d):
+        # Grone's completion theorem needs every entry that the objective, a
+        # class tie, a fixed diagonal or a localizer touches to lie in one clique.
+        full = {s: 1.0 for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)}
+        prob = build_fcb_sdp(Polynomial(n, full), d)
+        short = sum((n + 1) ** s for s in range(d))
+        assert prob.cliques.shape == ((n + 1, 1 + short + (n + 1) ** (d - 1)) if d else (1, 2))
+        cliques = [set(clique.tolist()) for clique in prob.cliques]
+
+        def inside(indices):
+            return any(set(indices) <= clique for clique in cliques)
+
+        u, v = 0, prob.word_index[()]
+        assert inside([u, v])
+        for s in full:
+            assert inside([u, prob.word_index[canonical_word(s, d, n)]])
+        for members in enumerate_classes(n, d).values():
+            assert all(inside([u, prob.word_index[w]]) for w in members)
+        for shifted, base in prob.localizers:
+            assert inside(shifted) and inside(base)
+        # Each coefficient is placed once, on one clique entry.
+        assert np.count_nonzero(prob.objective) == len(full)
+        # The cliques cover every index and meet only in their common separator.
+        assert set.union(*cliques) == set(range(prob.dim))
+        assert all(a & b == set(prob.cliques[0, : 1 + short].tolist()) for a, b in itertools.combinations(cliques, 2))
+        covered = {(min(a, b), max(a, b)) for clique in prob.cliques for a in clique for b in clique}
+        assert len(covered) == {(2, 0): 3, (1, 1): 9, (2, 2): 78, (3, 3): 2205}[n, d]
 
     def test_zero_polynomial_objective(self):
         prob = build_fcb_sdp(Polynomial(2, {}), 2)
@@ -114,8 +180,27 @@ class TestSolveAnchors:
         assert value <= spectral_l1(maj3()) + 1e-4
 
     def test_convergence_error_names_every_residual(self):
-        with pytest.raises(ConvergenceError, match=r"primal \S+, dual \S+\); final rho \S+$"):
+        # The one check, at the last iteration, is the whole history.
+        with pytest.raises(
+            ConvergenceError,
+            match=r"primal \S+, dual \S+\); final rho \S+; "
+            r"last checks: iteration 3: primal \S+, dual \S+, rho \S+, \S+ s$",
+        ):
             fcb_norm(Polynomial(1, {(1,): 1.0}), 1, max_iters=3)
+
+    def test_convergence_error_shows_last_three_checks(self):
+        with pytest.raises(ConvergenceError) as info:
+            fcb_norm(maj3(), 3, max_iters=80)
+        checks = str(info.value).split("last checks: ")[1].split("; ")
+        assert [check.split(":")[0] for check in checks] == ["iteration 50", "iteration 75", "iteration 80"]
+
+    def test_history_has_one_row_per_check(self):
+        sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=110)
+        assert [row[0] for row in sol.history] == [25, 50, 75, 100, 110]
+        iteration, primal, dual, rho, seconds = sol.history[-1]
+        assert (primal, dual) == (sol.primal_residual, sol.dual_residual)
+        assert rho > 0.0
+        assert all(a[4] <= b[4] for a, b in zip(sol.history, sol.history[1:]))
 
     def test_slow_drift_instance_converges_quickly(self):
         # Instance k=6 of acceptance criterion 5.  An over-relaxed ADMM with
@@ -136,25 +221,58 @@ class TestSolveAnchors:
         assert sup_norm_bruteforce(p) - 1e-4 <= sol.value <= spectral_l1(p) + 1e-4
 
     def test_small_scale_converges_quickly(self):
-        # Polynomial 0 of the benchmark's n=3 restriction panel.  Scaling it
-        # by 0.01 puts the early residuals orders of magnitude out of balance;
-        # penalty steps of a factor of 2 per 100 iterations took 1,200
-        # iterations here against 275 at scale 1.
-        p = Polynomial(
-            3,
-            {
-                (): 0.5709471049138739,
-                (1,): -0.19791667840165786,
-                (2,): -0.5566886616339805,
-                (3,): 0.3510990896085739,
-                (1, 3): -0.40354340659501814,
-            },
-        )
+        # Scaling PANEL_N3 by 0.01 puts the early residuals orders of
+        # magnitude out of balance; penalty steps of a factor of 2 per 100
+        # iterations took 1,200 iterations here against 275 at scale 1.
+        p = PANEL_N3
         small = Polynomial(3, {s: 0.01 * c for s, c in p.coeffs.items()})
         sol = solve_sdp(build_fcb_sdp(small, 2))
         assert sol.converged
         assert sol.iterations <= 300
         assert sol.value / 0.01 == pytest.approx(fcb_norm(p, 2), abs=1e-5)
+
+
+class TestPinnedOptima:
+    # Values of the full D x D moment program, solved to tol 1e-9 before the
+    # program was split into clique blocks; the cvxpy cross-check below is
+    # skipped wherever cvxpy is not installed, so these stand in for it.
+    @pytest.mark.parametrize(
+        "p, d, value",
+        [
+            (PANEL_N3, 2, 2.0801949411530543),
+            (PANEL_N3, 3, 2.0801949414348906),
+            (maj3(), 3, 1.0000000000002158),
+            (PANEL_N4, 2, 4.720888846732544),
+            (LINEAR_N3, 1, 4.7876330315214055),
+        ],
+    )
+    def test_value(self, p, d, value):
+        assert fcb_norm(p, d) == pytest.approx(value, abs=1e-6)
+
+    def test_reported_moment_completes_the_clique_blocks(self):
+        p = PANEL_N3
+        prob = build_fcb_sdp(p, 3)
+        sol = solve_sdp(prob)
+        assert sol.converged
+        m = sol.moment
+        assert m.shape == (prob.dim, prob.dim)
+        assert np.array_equal(m, m.T)
+        v = prob.word_index[()]
+        assert m[0, 0] == 1.0 and m[v, v] == 1.0
+        # The clique entries are the solved ones: they give the value, meet the
+        # class ties exactly and reproduce the localizer slack.
+        value = sum(c * m[0, prob.word_index[canonical_word(s, 3, p.n)]] for s, c in p.coeffs.items())
+        assert value == pytest.approx(sol.value, abs=1e-12)
+        for members in enumerate_classes(p.n, 3).values():
+            assert len({m[0, prob.word_index[w]] for w in members}) == 1
+        slack = min(
+            np.linalg.eigvalsh(m[np.ix_(base, base)] - m[np.ix_(shifted, shifted)])[0]
+            for shifted, base in prob.localizers
+        )
+        assert slack == pytest.approx(sol.localizer_min_eig_slack, abs=1e-12)
+        # The completion is no further from PSD than the least PSD clique block.
+        blocks = np.array([m[np.ix_(clique, clique)] for clique in prob.cliques])
+        assert np.linalg.eigvalsh(m)[0] >= min(0.0, np.linalg.eigvalsh(blocks).min()) - 1e-9
 
 
 class TestProperties:
