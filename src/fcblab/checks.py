@@ -202,6 +202,8 @@ _SUITE_FUNCS = {
 def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) -> list[CheckRow]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
     rows: list[CheckRow] = []
     for suite in names:

@@ -9,6 +9,7 @@ import sys
 from . import checks, fileio, qsim
 from .behavior import verify_bb
 from .errors import FcblabError
+from .linalg import sigma_max
 from .poly import _greedy_walk, spectral_l1, statistics, sup_norm_bruteforce
 from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL, build_fcb_sdp, extract_witness, solve_sdp
 from .witnesses import (
@@ -17,7 +18,6 @@ from .witnesses import (
     HOMOGENEOUS_FCB,
     bml_general_witness,
     bml_homogeneous_witness,
-    contraction_check,
     homogeneous_fcb_witness,
 )
 
@@ -98,17 +98,12 @@ def _cmd_witness(args) -> int:
     kind = _KIND_FLAGS[args.kind]
     if kind == HOMOGENEOUS_FCB:
         cert = homogeneous_fcb_witness(fileio.load_polynomial(args.input))
-        extra = {"verify_bb": verify_bb(cert.witness, 1e-9)}
+        extra = {"verify_bb": verify_bb(cert.witness, checks.CERT_TOL)}
     else:
         p = fileio.load_bml(args.input)
         cert = bml_homogeneous_witness(p, args.s) if kind == BML_HOMOGENEOUS else bml_general_witness(p)
-        w = cert.witness
-        sigma = max(
-            contraction_check(w.A[b, i], 1e-9)["sigma_max"]
-            for b in range(w.d)
-            for i in range(w.n)
-        )
-        extra = {"max_sigma": sigma}
+        A = cert.witness.A
+        extra = {"max_sigma": max(sigma_max(a) for a in A.reshape((-1,) + A.shape[-2:]))}
     if args.out:
         fileio.save_certificate(cert, args.out)
     _emit(

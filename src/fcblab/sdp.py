@@ -23,14 +23,15 @@ private parts P_i through the separator S, applied to the clique blocks
 shifted by their most negative eigenvalue and shifted back, so the reported
 matrix is no further from PSD than its least PSD clique block.
 
-The program is built in the space the solver works in: the stacked
-symmetric vectorizations (svec) of the clique blocks.  Its equality
-relations are written into the variable instead of being imposed as
-constraints: an entry that several cliques share has one variable, every
-entry <u, v_w> of a parity class of length-d words shares the variable of
-the class's first word, and the diagonal entries M[u,u] = M[v,v] = 1 have
-no variable.  The stacked vector is x = x0 + T y, with x0 holding the fixed
-ones and T the 0/1 map from the free variables y to their entries.
+The program is built in the form the solver works in: a stack of the clique
+blocks, each a dense symmetric k x k matrix, beside a stack of the localizer
+slacks.  Its equality relations are written into the variable instead of
+being imposed as constraints: an entry and its mirror image share one
+variable, so does an entry that several cliques share, every entry
+<u, v_w> of a parity class of length-d words shares the variable of the
+class's first word, and the diagonal entries M[u,u] = M[v,v] = 1 have no
+variable.  The stacked blocks are x = x0 + T y, with x0 holding the fixed
+ones and T the map from the free variables y to their entries.
 
 The solver is an in-house consensus ADMM on y: each iteration performs a
 sparse linear solve with (F T)^T (F T) (the only place the objective
@@ -90,8 +91,11 @@ class SdpProblem:
     # One row per clique: the moment indices of u, of the separator words of
     # length <= d-1 (the same in every row), then of the clique's own length-d words.
     cliques: np.ndarray
-    objective: np.ndarray  # per clique svec entry, c with c @ svec(blocks) = sum_S p_hat(S) M[u, canonical word of S]
-    variable: np.ndarray  # per clique svec entry, the index of its free variable; -1 where the entry is fixed at 1
+    # (n+1, k, k), symmetric: p_hat(S)/2 on the entries (u, w) and (w, u) of the
+    # canonical word w of S, so that sum(objective * blocks) = sum_S p_hat(S) M[u, w].
+    objective: np.ndarray
+    # (n+1, k, k), symmetric: the index of each entry's free variable; -1 where it is fixed at 1.
+    variable: np.ndarray
     localizers: list[tuple[np.ndarray, np.ndarray]]  # (rows of v_{i w}, rows of v_w); letter i lies in clique i-1
     n: int
     d: int
@@ -130,13 +134,6 @@ def _all_words(n: int, d: int) -> list[Word]:
     return words
 
 
-def _svec_index(dim: int, a, b):
-    """Position of matrix entry (a, b) in the svec vector of a dim x dim symmetric matrix."""
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return lo * dim - lo * (lo - 1) // 2 + (hi - lo)
-
-
 def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     """Assemble the moment-matrix program whose optimum is ||p||_{fcb,d}."""
     if d < 0:
@@ -163,24 +160,23 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
         if len(w) == d:
             private.setdefault(w[:1], []).append(word_index[w])
     cliques = np.array([separator + members for members in private.values()])
-    rows, cols = np.triu_indices(cliques.shape[1])
-    entry = _svec_index(dim, cliques[:, rows], cliques[:, cols])  # D x D svec position of each clique entry
+    blocks = (cliques[:, :, None], cliques[:, None, :])  # D x D entries of each clique block
 
-    # Row u is the first row of the D x D svec upper triangle: entry (u, w)
-    # sits at position word_index[w] and carries the sqrt(2) off-diagonal
-    # scale.  A canonical word has length d, so its entry lies in one clique.
-    size = dim * (dim + 1) // 2
-    objective = np.zeros(size)
+    # A canonical word has length d, so its entries (u, w) and (w, u) lie in one clique.
+    objective = np.zeros((dim, dim))
     for s, c in p.coeffs.items():
-        objective[word_index[canonical_word(s, d, n)]] = c / np.sqrt(2.0)
+        w = word_index[canonical_word(s, d, n)]
+        objective[0, w] = objective[w, 0] = c / 2.0
 
-    # owner[k] is the D x D svec entry whose variable entry k takes.
-    owner = np.arange(size)
+    # owner[a, b] is the D x D entry a * D + b (a <= b) whose variable entry (a, b) takes.
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    owner = np.minimum(flat, flat.T)
     for members in enumerate_classes(n, d).values():
-        owner[[word_index[w] for w in members]] = word_index[members[0]]
-    v_diag = _svec_index(dim, word_index[()], word_index[()])
-    owner[[0, v_diag]] = -1
-    owner = owner[entry]
+        tied = [word_index[w] for w in members]
+        owner[0, tied] = owner[tied, 0] = word_index[members[0]]
+    v = word_index[()]
+    owner[0, 0] = owner[v, v] = -1
+    owner = owner[blocks]
     free = owner >= 0
     variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
@@ -194,7 +190,7 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     return SdpProblem(
         dim=dim,
         cliques=cliques,
-        objective=objective[entry],
+        objective=objective[blocks],
         variable=variable,
         localizers=localizers,
         n=n,
@@ -204,42 +200,16 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     )
 
 
-class _SvecSpace:
-    """Symmetric vectorization of D x D matrices (upper triangle, sqrt(2) off-diagonal)."""
+def _psd_project(mats: np.ndarray) -> np.ndarray:
+    """Project each symmetric matrix of a stack (shape (..., m, m)) onto the PSD cone.
 
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.size = dim * (dim + 1) // 2
-        rows, cols = np.triu_indices(dim)
-        self.rows = rows
-        self.cols = cols
-        self.scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
-        self.upper = rows * dim + cols  # flat position of each svec entry
-        self.lower = cols * dim + rows  # flat position of its mirror image
-
-    def to_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """The symmetric matrix of each svec vector of a stack (shape (..., size))."""
-        mat = np.zeros(vec.shape[:-1] + (self.dim, self.dim))
-        vals = vec / self.scale
-        mat[..., self.rows, self.cols] = vals
-        mat[..., self.cols, self.rows] = vals
-        return mat
-
-    def psd_project(self, vecs: np.ndarray) -> np.ndarray:
-        """Project each svec vector of a stack (shape (..., size)) onto the PSD cone.
-
-        Only the lower triangle is filled, which is all `eigh` reads, and the
-        negative eigenpairs are subtracted in place of rebuilding the matrix.
-        """
-        lead = vecs.shape[:-1]
-        mats = np.zeros(lead + (self.dim * self.dim,))
-        mats[..., self.lower] = vecs / self.scale
-        eigvals, eigvecs = np.linalg.eigh(mats.reshape(lead + (self.dim, self.dim)))
-        negative = np.minimum(eigvals, 0.0)
-        if not negative.any():
-            return vecs
-        excess = (eigvecs * negative[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
-        return vecs - excess.reshape(lead + (-1,))[..., self.upper] * self.scale
+    The negative eigenpairs are subtracted in place of rebuilding the matrix.
+    """
+    eigvals, eigvecs = np.linalg.eigh(mats)
+    negative = np.minimum(eigvals, 0.0)
+    if not negative.any():
+        return mats
+    return mats - (eigvecs * negative[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
 
 
 class _Anderson:
@@ -304,26 +274,29 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     outside the dead band multiplies rho (starting at 1) by its square root.
     The solution reports the final rho, the number of changes and one
     history row per check.  Returns converged=False (with residuals) when the
-    iteration budget is exhausted; callers decide whether that is fatal.
+    iteration budget is exhausted; callers decide whether that is fatal.  A
+    tol that is not positive and finite, or max_iters below 1, is a ValueError.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     start = time.perf_counter()
-    n_cliques, clique_size = prob.cliques.shape
-    space = _SvecSpace(clique_size)
-    n_vec = n_cliques * space.size
+    n_cliques, k = prob.cliques.shape
+    n_vec = n_cliques * k * k
 
-    # Localizer k lies in clique k, which lists the separator (and so the
-    # base words) in the same places as every other clique.  The slacks share
-    # one svec space; row k of loc_shift belongs to letter k + 1.
+    # Localizer i lies in clique i, which lists the separator (and so the
+    # base words) in the same places as every other clique.  Slack entry
+    # (a, b) of letter i + 1 is block entry loc_base[i, a, b] minus block entry
+    # loc_shift[i, a, b], as flat offsets into the stacked blocks.
     which = np.arange(n_cliques)[:, None]
     position = np.zeros((n_cliques, prob.dim), dtype=int)
-    position[which, prob.cliques] = np.arange(clique_size)
+    position[which, prob.cliques] = np.arange(k)
     base = position[0, prob.localizers[0][1]]
     shifted = position[which, np.array([words for words, _ in prob.localizers])]
-    loc_space = _SvecSpace(base.size)
-    loc_size = loc_space.size
-    offset = space.size * which
-    loc_base = offset + _svec_index(clique_size, base[loc_space.rows], base[loc_space.cols])
-    loc_shift = offset + _svec_index(clique_size, shifted[:, loc_space.rows], shifted[:, loc_space.cols])
+    offset = k * k * which[:, :, None]
+    loc_base = offset + k * base[:, None] + base
+    loc_shift = offset + k * shifted[:, :, None] + shifted[:, None, :]
 
     # (d = 0 has one clique and n + 1 localizers with no rows.)
     cols = np.stack([np.broadcast_to(loc_base, loc_shift.shape), loc_shift], axis=-1).reshape(-1)
@@ -333,12 +306,20 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     )
     F = sp.vstack([sp.identity(n_vec, format="csr"), localizer_rows], format="csr")
 
-    # x = x0 + T y meets the shared entries, the class ties and the fixed
-    # diagonals for every y, so the ADMM runs on y through G = F T.
+    # Each off-diagonal entry carries the weight sqrt(2) of the symmetric
+    # vectorization: its variable is weight times its value (T maps it to both
+    # mirrored entries with 1/weight), which fixes the scale of the dual
+    # residual, and the entry-wise primal check weighs each mismatch likewise.
+    # A slack entry is diagonal exactly when its clique block entry is.
+    weight = np.where(np.eye(k, dtype=bool), 1.0, np.sqrt(2.0)).reshape(-1)
+    row_weight = np.concatenate([np.tile(weight, n_cliques), weight[loc_shift.reshape(-1) % weight.size]])
+
+    # x = x0 + T y meets the mirrored and shared entries, the class ties and
+    # the fixed diagonals for every y, so the ADMM runs on y through G = F T.
     variable = prob.variable.reshape(-1)
     free = np.flatnonzero(variable >= 0)
     T = sp.csr_matrix(
-        (np.ones(free.size), (free, variable[free])),
+        (1.0 / row_weight[free], (free, variable[free])),
         shape=(n_vec, int(variable.max()) + 1),
     )
     x0 = np.where(variable >= 0, 0.0, 1.0)
@@ -352,13 +333,9 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     c_norm = 1.0 + np.linalg.norm(c)
 
     def project_blocks(vec: np.ndarray) -> np.ndarray:
-        out = np.empty_like(vec)
-        blocks = vec[:n_vec].reshape(n_cliques, space.size)
-        out[:n_vec] = space.psd_project(blocks).reshape(-1)
-        if loc_size:
-            slacks = vec[n_vec:].reshape(loc_shift.shape)
-            out[n_vec:] = loc_space.psd_project(slacks).reshape(-1)
-        return out
+        blocks = _psd_project(vec[:n_vec].reshape(n_cliques, k, k))
+        slacks = _psd_project(vec[n_vec:].reshape(loc_shift.shape))
+        return np.concatenate([blocks.reshape(-1), slacks.reshape(-1)])
 
     # The state is the point v that the projection is applied to: z = P(v) is
     # the consensus copy and u = v - z the scaled dual, so one plain ADMM step
@@ -397,7 +374,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
             # The relative norm alone lets single entries of a large moment
             # matrix leave their cone by many times tol (at d=3, value errors
             # of 2e-5 at tol 1e-6), so every entry is held to tol as well.
-            primal_res = max(primal_rel, float(np.abs(mismatch).max()))
+            primal_res = max(primal_rel, float(np.abs(mismatch * row_weight).max()))
             dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
             history.append((iteration, primal_res, dual_res, rho, time.perf_counter() - start))
             if primal_res <= tol and dual_res <= tol:
@@ -423,12 +400,12 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 
     x = x0 + T @ y
     min_slack = 0.0
-    if loc_size:
-        min_slack = float(np.linalg.eigvalsh(loc_space.to_matrix(x[loc_base] - x[loc_shift])).min())
+    if loc_shift.size:
+        min_slack = float(np.linalg.eigvalsh(x[loc_base] - x[loc_shift]).min())
 
     return SdpSolution(
         value=float(c @ x),
-        moment=_complete(prob, space.to_matrix(x.reshape(n_cliques, space.size))),
+        moment=_complete(prob, x.reshape(n_cliques, k, k)),
         primal_residual=primal_res,
         dual_residual=dual_res,
         localizer_min_eig_slack=min_slack,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,17 @@ class TestFcb:
         monkeypatch.setenv("FCBLAB_MAX_DIM", "5")
         assert main(["fcb", maj3_file, "--d", "3"]) == 2
         assert "exceeds the guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_usage_error(self, maj3_file, capsys, tol):
+        assert main(["fcb", maj3_file, "--d", "3", "--tol", tol, "--max-iters", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be positive and finite" in captured.err
+
+    def test_empty_iteration_budget_is_usage_error(self, maj3_file, capsys):
+        assert main(["fcb", maj3_file, "--d", "3", "--max-iters", "0"]) == 2
+        assert "max_iters must be at least 1" in capsys.readouterr().err
 
 
 class TestWitnessCommand:
@@ -216,3 +231,21 @@ class TestCheck:
 
     def test_requires_suite(self, capsys):
         assert main(["check"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        # No instance at all would otherwise print no rows and pass.
+        assert main(["check", "restriction", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be at least 1" in captured.err
+
+
+def test_module_entry_point_runs_from_source_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "fcblab", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: fcblab")

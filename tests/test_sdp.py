@@ -60,40 +60,51 @@ LINEAR_N3 = Polynomial(
 
 
 class TestBuild:
-    # Within a clique, u is row 0 and v row 1 of the clique block, so clique
-    # svec entry (0, j) sits at position j and the (v, v) entry at position size.
+    # Within a clique, u is row 0 and v row 1 of the dense clique block, so
+    # entry (u, w) of clique q sits at [q, 0, j] and [q, j, 0], where j is the
+    # column of w in the clique, and the fixed (v, v) entry at [q, 1, 1].
 
     def test_single_variable_dimensions(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)
         assert prob.dim == 4  # u, v, v_(1), v_(2)
         assert prob.cliques.tolist() == [[0, 1, 2], [0, 1, 3]]
+        assert prob.objective.shape == prob.variable.shape == (2, 3, 3)
         # 9 covered entries (not the pair v_(1), v_(2)), no ties, two fixed diagonals
         assert prob.variable.max() + 1 == 9 - 2
-        assert list(np.flatnonzero(prob.objective)) == [2]  # (u, v_(1)) in clique 0
-        assert prob.objective[0, 2] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+        # (u, v_(1)) and its mirror image in clique 0 carry half the coefficient each
+        assert np.argwhere(prob.objective).tolist() == [[0, 0, 2], [0, 2, 0]]
+        assert prob.objective[0, 0, 2] == prob.objective[0, 2, 0] == 0.5
 
     def test_equality_count_n2_d2(self):
         prob = build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
         assert prob.dim == 14
         assert prob.cliques.shape == (3, 8)  # u, v, three length-1 words, three length-2 words
-        clique_svec = 8 * 9 // 2
-        assert prob.variable.shape == (3, clique_svec)
-        assert [list(np.flatnonzero(row < 0)) for row in prob.variable] == [[0, 8]] * 3
+        assert prob.variable.shape == (3, 8, 8)
+        assert [np.argwhere(block < 0).tolist() for block in prob.variable] == [[[0, 0], [1, 1]]] * 3
         classes = enumerate_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
         assert sum(len(members) for members in classes.values()) == 9
         assert len(classes) == 4
         # 78 of the 105 entries of the 14 x 14 upper triangle lie in a clique
         assert prob.variable.max() + 1 == 78 - 2 - 5
-        # A separator entry has one variable in every clique: (u, v_(1)) is entry 2.
-        assert len(set(prob.variable[:, 2])) == 1
+        # A separator entry has one variable in every clique: (u, v_(1)) is entry (0, 2).
+        assert len(set(prob.variable[:, 0, 2])) == 1
         # Entry (u, w) of a length-2 word sits in the clique of its first letter.
         column = {(k, int(j)): c for k, clique in enumerate(prob.cliques) for c, j in enumerate(clique)}
         shared = [
-            {prob.variable[w[0] - 1, column[w[0] - 1, prob.word_index[w]]] for w in members}
+            {prob.variable[w[0] - 1, 0, column[w[0] - 1, prob.word_index[w]]] for w in members}
             for members in classes.values()
         ]
         assert all(len(ids) == 1 for ids in shared)
         assert len(set.union(*shared)) == 4
+
+    @pytest.mark.parametrize("n, d", [(2, 0), (1, 1), (2, 2), (3, 3)])
+    def test_blocks_are_symmetric(self, n, d):
+        full = {s: 1.0 for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)}
+        prob = build_fcb_sdp(Polynomial(n, full), d)
+        k = prob.cliques.shape[1]
+        assert prob.objective.shape == prob.variable.shape == (len(prob.cliques), k, k)
+        assert np.array_equal(prob.variable, prob.variable.transpose(0, 2, 1))
+        assert np.array_equal(prob.objective, prob.objective.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("n, d", [(2, 0), (1, 1), (2, 2), (3, 3)])
     def test_cliques_cover_every_constraint(self, n, d):
@@ -116,8 +127,8 @@ class TestBuild:
             assert all(inside([u, prob.word_index[w]]) for w in members)
         for shifted, base in prob.localizers:
             assert inside(shifted) and inside(base)
-        # Each coefficient is placed once, on one clique entry.
-        assert np.count_nonzero(prob.objective) == len(full)
+        # Each coefficient is placed once, on one clique entry and its mirror image.
+        assert np.count_nonzero(prob.objective) == 2 * len(full)
         # The cliques cover every index and meet only in their common separator.
         assert set.union(*cliques) == set(range(prob.dim))
         assert all(a & b == set(prob.cliques[0, : 1 + short].tolist()) for a, b in itertools.combinations(cliques, 2))
@@ -201,6 +212,16 @@ class TestSolveAnchors:
         assert (primal, dual) == (sol.primal_residual, sol.dual_residual)
         assert rho > 0.0
         assert all(a[4] <= b[4] for a, b in zip(sol.history, sol.history[1:]))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), tol=tol, max_iters=50)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_empty_iteration_budget(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), max_iters=max_iters)
 
     def test_slow_drift_instance_converges_quickly(self):
         # Instance k=6 of acceptance criterion 5.  An over-relaxed ADMM with
