@@ -135,7 +135,7 @@ def verify_bb(w: Witness, tol: float) -> dict:
         raise CapacityError(f"(n+1)^d = {total} exceeds the enumeration guard ({MAX_WORDS})")
 
     unit_err = max(abs(np.linalg.norm(w.u) - 1.0), abs(np.linalg.norm(w.v) - 1.0))
-    excess = max(max(0.0, sigma_max(w.A[i]) - 1.0) for i in range(n + 1))
+    excess = max(0.0, sigma_max(w.A) - 1.0)
 
     # Suffix vectors level by level; the final letter is folded into u^T A(i)
     # so only (n+1)^(d-1) vectors are ever materialized.
@@ -143,9 +143,9 @@ def verify_bb(w: Witness, tol: float) -> dict:
     if d > 0:
         suffix = w.v.reshape(m, 1)
         for _ in range(d - 1):
-            suffix = np.hstack([w.A[i] @ suffix for i in range(n + 1)])
+            suffix = np.hstack(w.A @ suffix)
         # column order of `suffix` = lexicographic order of length-(d-1) words
-        ua = np.stack([w.u @ w.A[i] for i in range(n + 1)])
+        ua = w.u @ w.A
         values = (ua @ suffix).reshape(-1)  # lexicographic over length-d words
         rep_value: dict[Subset, float] = {}
         for rank, word in enumerate(itertools.product(range(1, n + 2), repeat=d)):
@@ -182,34 +182,27 @@ def evaluate_on_witness(p: Polynomial, w: Witness) -> float:
 
 
 def evaluate_bml_on_matrices(
-    p: BlockMultilinearPolynomial,
-    u: np.ndarray,
-    v: np.ndarray,
-    A_blocks: Sequence[Sequence[np.ndarray]] | np.ndarray,
+    p: BlockMultilinearPolynomial, u: np.ndarray, v: np.ndarray, A: np.ndarray
 ) -> float:
     """<u, p(A_1,..,A_d) v> with the constant term acting as the identity.
 
-    ``A_blocks[b-1][i-1]`` is the matrix substituted for variable i of
-    block b.  Each monomial is applied right to left in block order.
+    ``A`` is a (d, n, m, m) stack, or anything ``np.asarray`` turns into one,
+    with ``A[b-1, i-1]`` the matrix substituted for variable i of block b.
+    Each monomial is applied right to left in block order.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    A = np.asarray(A, dtype=float)
     m = u.shape[0]
     if v.shape != (m,):
         raise ValueError("u and v must have the same dimension")
-    blocks = [[np.asarray(a, dtype=float) for a in row] for row in A_blocks]
-    if len(blocks) != p.d:
-        raise ValueError(f"expected {p.d} blocks of matrices, got {len(blocks)}")
-    for row in blocks:
-        if len(row) != p.n:
-            raise ValueError(f"each block needs {p.n} matrices")
-        for a in row:
-            if a.shape != (m, m):
-                raise ValueError("matrix dimensions must match u and v")
+    if A.shape != (p.d, p.n, m, m):
+        raise ValueError(f"expected a matrix stack of shape {(p.d, p.n, m, m)}, got {A.shape}")
+    mats = [list(block) for block in A]  # list lookups beat indexing A in the loop
     total = 0.0
     for key, c in p.coeffs.items():
         vec = v
         for b, i in reversed(key):
-            vec = blocks[b - 1][i - 1] @ vec
+            vec = mats[b - 1][i - 1] @ vec
         total += c * float(u @ vec)
     return total

@@ -102,8 +102,7 @@ def _cmd_witness(args) -> int:
     else:
         p = fileio.load_bml(args.input)
         cert = bml_homogeneous_witness(p, args.s) if kind == BML_HOMOGENEOUS else bml_general_witness(p)
-        A = cert.witness.A
-        extra = {"max_sigma": max(sigma_max(a) for a in A.reshape((-1,) + A.shape[-2:]))}
+        extra = {"max_sigma": sigma_max(cert.witness.A)}
     if args.out:
         fileio.save_certificate(cert, args.out)
     _emit(
@@ -120,6 +119,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    qsim._check_extractable(args.n)  # before drawing (n+1)*w-dimensional unitaries
     alg = qsim.random_algorithm(args.n, args.queries, args.workspace, args.seed)
     p = qsim.extract_polynomial(alg)
     report: dict = {"degree": p.degree, "degree_bound": 2 * args.queries, "degree_ok": True}

@@ -153,7 +153,7 @@ def witness_payload(w: Witness) -> dict:
         "d": w.d,
         "u": w.u.tolist(),
         "v": w.v.tolist(),
-        "A": [w.A[i].tolist() for i in range(w.n + 1)],
+        "A": w.A.tolist(),
     }
 
 
@@ -164,7 +164,7 @@ def bml_witness_payload(w: BmlWitness) -> dict:
         "n": w.n,
         "u": w.u.tolist(),
         "v": w.v.tolist(),
-        "A_blocks": [[w.A[b, i].tolist() for i in range(w.n)] for b in range(w.d)],
+        "A_blocks": w.A.tolist(),
     }
 
 

@@ -6,10 +6,14 @@ import numpy as np
 
 
 def sigma_max(a: np.ndarray) -> float:
-    """Largest singular value, from the exact SVD at every size."""
+    """Largest singular value of a square matrix, or over a stack (..., m, m) of them.
+
+    Exact SVD at every size, one batched call for a stack; an empty matrix or
+    stack gives 0.  Anything but square matrices raises ValueError.
+    """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if a.shape[0] == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(np.linalg.svd(a, compute_uv=False).max())

@@ -27,6 +27,21 @@ MAX_STATE_DIM = 4096
 MAX_EXTRACT_VARS = 14
 
 
+def _state_dim(n: int, d: int, w: int) -> int:
+    # (n+1)*w once the sizes pass, before any unitary of that dimension is drawn or checked
+    if n < 1 or d < 0 or w < 1:
+        raise ValueError("need n >= 1, d >= 0, w >= 1")
+    dim = (n + 1) * w
+    if dim > MAX_STATE_DIM:
+        raise CapacityError(f"state dimension {dim} exceeds {MAX_STATE_DIM}")
+    return dim
+
+
+def _check_extractable(n: int) -> None:
+    if n > MAX_EXTRACT_VARS:
+        raise CapacityError(f"n={n} exceeds the interpolation guard ({MAX_EXTRACT_VARS})")
+
+
 @dataclass(frozen=True)
 class QueryAlgorithm:
     n: int
@@ -36,11 +51,7 @@ class QueryAlgorithm:
     observable: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 0 or self.w < 1:
-            raise ValueError("need n >= 1, d >= 0, w >= 1")
-        dim = self.dim
-        if dim > MAX_STATE_DIM:
-            raise CapacityError(f"state dimension {dim} exceeds {MAX_STATE_DIM}")
+        dim = _state_dim(self.n, self.d, self.w)
         if len(self.unitaries) != self.d + 1:
             raise ValueError(f"expected {self.d + 1} unitaries, got {len(self.unitaries)}")
         eye = np.eye(dim)
@@ -73,8 +84,8 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_algorithm(n: int, d: int, w: int, seed: int) -> QueryAlgorithm:
     """Seeded algorithm with Haar-style unitaries and a random +-1-spectrum observable."""
+    dim = _state_dim(n, d, w)
     rng = np.random.default_rng(seed)
-    dim = (n + 1) * w
     unitaries = tuple(_haar_unitary(rng, dim) for _ in range(d + 1))
     basis = _haar_unitary(rng, dim)
     signs = rng.choice([-1.0, 1.0], size=dim)
@@ -108,8 +119,7 @@ def extract_polynomial(alg: QueryAlgorithm) -> Polynomial:
     Coefficients beyond degree 2d above DEGREE_COEFF_TOL indicate a broken
     model and raise; below it they are hard-zeroed.
     """
-    if alg.n > MAX_EXTRACT_VARS:
-        raise CapacityError(f"n={alg.n} exceeds the interpolation guard ({MAX_EXTRACT_VARS})")
+    _check_extractable(alg.n)
     values = {
         x: run(alg, x) for x in itertools.product((1, -1), repeat=alg.n)
     }

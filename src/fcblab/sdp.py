@@ -488,24 +488,23 @@ def extract_witness(sol: SdpSolution, prob: SdpProblem) -> Witness:
     if not keep.any():
         raise ExtractionError("moment matrix is numerically zero")
     factors = eigvecs[:, keep] * np.sqrt(eigvals[keep])  # row alpha = vector of index alpha
-    rank = factors.shape[1]
 
     u = factors[0]
     v = factors[prob.word_index[()]]
     base = factors[prob.localizers[0][1]].T  # rank x |W0|
     base_pinv = np.linalg.pinv(base, rcond=PINV_RCOND)
 
-    A = np.zeros((prob.n + 1, rank, rank))
-    for i, (shifted, _) in enumerate(prob.localizers, start=1):
-        target = factors[shifted].T
-        mat = target @ base_pinv
-        left, sing, right = np.linalg.svd(mat)
-        excess = float(max(0.0, sing.max(initial=0.0) - 1.0))
-        if excess > SINGULAR_EXCESS_TOLERANCE:
-            raise ExtractionError(
-                f"letter {i}: singular value exceeds 1 by {excess:.2e}; solve to a tighter tolerance"
-            )
-        A[i - 1] = (left * np.minimum(sing, 1.0)) @ right
+    shifted = np.array(prob.localizers)[:, 0]  # (n+1) x |W0| rows of v_{i w}
+    targets = np.swapaxes(factors[shifted], 1, 2)  # (n+1) x rank x |W0|
+    left, sing, right = np.linalg.svd(targets @ base_pinv)
+    excess = np.maximum(sing.max(axis=1, initial=0.0) - 1.0, 0.0)
+    over = excess > SINGULAR_EXCESS_TOLERANCE
+    if over.any():
+        i = int(np.argmax(over))  # the first letter past the tolerance
+        raise ExtractionError(
+            f"letter {i + 1}: singular value exceeds 1 by {excess[i]:.2e}; solve to a tighter tolerance"
+        )
+    A = (left * np.minimum(sing, 1.0)[:, None, :]) @ right
 
     u_norm = np.linalg.norm(u)
     v_norm = np.linalg.norm(v)

@@ -41,7 +41,8 @@ BML_GENERAL = "bml_general"
 class BmlWitness:
     """Matrix tuple (u, v, A) for block-multilinear evaluation.
 
-    ``A`` has shape (d, n, m, m): one matrix per (block, variable) pair.
+    ``A`` is one (d, n, m, m) stack, with ``A[b-1, i-1]`` the matrix for
+    variable i of block b.
     """
 
     u: np.ndarray
@@ -60,9 +61,6 @@ class BmlWitness:
     def n(self) -> int:
         return self.A.shape[1]
 
-    def blocks(self) -> list[list[np.ndarray]]:
-        return [[self.A[b, i] for i in range(self.n)] for b in range(self.d)]
-
 
 @dataclass(frozen=True)
 class InfluenceCertificate:
@@ -74,8 +72,12 @@ class InfluenceCertificate:
 
 
 def contraction_check(a: np.ndarray, tol: float) -> dict:
-    """Largest singular value of a square matrix versus the 1 + tol budget."""
-    sigma = sigma_max(np.asarray(a, dtype=float))
+    """Largest singular value of a square matrix versus the 1 + tol budget.
+
+    A stack (..., m, m) is checked by its largest singular value over all
+    its matrices, as in ``sigma_max``.
+    """
+    sigma = sigma_max(a)
     return {"sigma_max": sigma, "pass": bool(sigma <= 1.0 + tol)}
 
 
@@ -213,7 +215,7 @@ def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceC
     v[e_index[()]] = 1.0
     tuple_A = np.broadcast_to(A, (d, n, m, m)).copy()
     witness = BmlWitness(u=u, v=v, A=tuple_A)
-    value = evaluate_bml_on_matrices(p, u, v, witness.blocks())
+    value = evaluate_bml_on_matrices(p, u, v, witness.A)
     return InfluenceCertificate(
         kind=BML_HOMOGENEOUS,
         witness=witness,
@@ -257,7 +259,7 @@ def bml_general_witness(p: BlockMultilinearPolynomial) -> InfluenceCertificate:
         sqrt(float(bml_influences(pD).max())),
     )
     witness = BmlWitness(u=u, v=v, A=A)
-    value = evaluate_bml_on_matrices(p, u, v, witness.blocks())
+    value = evaluate_bml_on_matrices(p, u, v, witness.A)
     return InfluenceCertificate(
         kind=BML_GENERAL,
         witness=witness,
@@ -278,17 +280,7 @@ def degree_extraction_embed(w: BmlWitness, D: int, d: int) -> BmlWitness:
         raise ValueError(f"D={D} must lie in [1, d={d}]")
     if w.d != d:
         raise ValueError(f"witness has {w.d} blocks, expected {d}")
-    shift = np.zeros((D + 1, D + 1))
-    for s in range(1, D + 1):
-        shift[s - 1, s] = 1.0
-    e_first = np.zeros(D + 1)
-    e_first[0] = 1.0
-    e_last = np.zeros(D + 1)
-    e_last[D] = 1.0
-    m = w.m
-    A = np.zeros((w.d, w.n, m * (D + 1), m * (D + 1)))
-    for b in range(w.d):
-        for i in range(w.n):
-            A[b, i] = np.kron(w.A[b, i], shift)
-    return BmlWitness(u=np.kron(w.u, e_first), v=np.kron(w.v, e_last), A=A)
+    e = np.eye(D + 1)
+    shift = np.eye(D + 1, k=1)
+    return BmlWitness(u=np.kron(w.u, e[0]), v=np.kron(w.v, e[D]), A=np.kron(w.A, shift))
 

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fcblab import BlockMultilinearPolynomial, Polynomial, checks
+from fcblab import BlockMultilinearPolynomial, Polynomial, checks, qsim
 from fcblab.checks import random_poly  # noqa: F401 - imported by the test modules
 
 
@@ -60,3 +60,13 @@ def random_nonhomogeneous_bml(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240101)
+
+
+@pytest.fixture
+def no_unitary_draws(monkeypatch):
+    """Fail the test if the simulator draws a Haar unitary."""
+
+    def no_draw(rng, dim):
+        pytest.fail(f"drew a {dim}x{dim} unitary before the size guards ran")
+
+    monkeypatch.setattr(qsim, "_haar_unitary", no_draw)

@@ -116,8 +116,8 @@ def test_criterion_3_general_bml_bound():
             assert varD >= bml_variance(p) / p.d
             w = cert.witness
             emb = degree_extraction_embed(w, cert.s_or_d, p.d)
-            full_on_embedded = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.blocks())
-            part_on_original = evaluate_bml_on_matrices(pD, w.u, w.v, w.blocks())
+            full_on_embedded = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
+            part_on_original = evaluate_bml_on_matrices(pD, w.u, w.v, w.A)
             assert abs(full_on_embedded - part_on_original) <= 1e-12
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,3 +201,8 @@ class TestEvaluateBmlOnMatrices:
         p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 1.0})
         with pytest.raises(ValueError):
             evaluate_bml_on_matrices(p, np.ones(1), np.ones(1), [[np.eye(1)]])
+
+    def test_wrong_stack_shape_names_expected_shape(self):
+        p = BlockMultilinearPolynomial(2, 2, {((1, 1), (2, 2)): 1.0})
+        with pytest.raises(ValueError, match=re.escape("(2, 2, 3, 3)")):
+            evaluate_bml_on_matrices(p, np.ones(3), np.ones(3), np.zeros((2, 1, 3, 3)))

@@ -193,6 +193,18 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["fcb_ok"] is True
 
+    @pytest.mark.parametrize(
+        "sizes, guard",
+        [
+            (["--n", "2000", "--queries", "3"], "interpolation guard"),
+            (["--n", "100000", "--queries", "1"], "interpolation guard"),
+            (["--n", "10", "--queries", "1", "--workspace", "1000"], "state dimension 11000"),
+        ],
+    )
+    def test_oversized_run_fails_before_drawing(self, no_unitary_draws, capsys, sizes, guard):
+        assert main(["simulate", *sizes]) == 2
+        assert guard in capsys.readouterr().err
+
 
 class TestCheck:
     def test_certificates_suite_and_reproducibility(self, capsys):

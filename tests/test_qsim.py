@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcblab import (
+    CapacityError,
     ModelViolationError,
     QueryAlgorithm,
     check_characterization,
@@ -38,6 +39,19 @@ class TestRandomAlgorithm:
     def test_seed7_regression(self):
         p = extract_polynomial(random_algorithm(2, 1, 1, 7))
         assert p.coeffs == GOLDEN_SEED7
+
+    @pytest.mark.parametrize(
+        "n, d, w, error",
+        [
+            (100000, 1, 1, CapacityError),
+            (10, 1, 1000, CapacityError),
+            (2, -1, 1, ValueError),
+            (0, 1, 1, ValueError),
+        ],
+    )
+    def test_sizes_checked_before_drawing(self, no_unitary_draws, n, d, w, error):
+        with pytest.raises(error):
+            random_algorithm(n, d, w, 0)
 
     def test_rejects_non_unitary(self):
         alg = random_algorithm(1, 0, 1, 0)

@@ -19,6 +19,7 @@ from fcblab import (
     statistics,
     verify_bb,
 )
+from fcblab.linalg import sigma_max
 
 from conftest import (
     maj3,
@@ -26,14 +27,6 @@ from conftest import (
     random_homogeneous_bml,
     random_nonhomogeneous_bml,
 )
-
-
-def max_sigma(w):
-    return max(
-        contraction_check(w.A[b, i], 0.0)["sigma_max"]
-        for b in range(w.d)
-        for i in range(w.n)
-    )
 
 
 class TestHomogeneousFcbWitness:
@@ -99,7 +92,7 @@ class TestBmlHomogeneousWitness:
         for s in (1, 2):
             cert = bml_homogeneous_witness(p, s)
             assert cert.certified_value == pytest.approx(math.sqrt(2.0), abs=1e-12)
-            assert max_sigma(cert.witness) <= 1.0 + 1e-12
+            assert sigma_max(cert.witness.A) <= 1.0 + 1e-12
 
     def test_degree_one_gives_l1(self):
         coeffs = {((1, 1),): 0.6, ((1, 2),): -0.8}
@@ -117,7 +110,7 @@ class TestBmlHomogeneousWitness:
             for s, got in enumerate(values, start=1):
                 expected = sum(math.sqrt(v) for v in bml_influences(p)[s - 1])
                 assert got == pytest.approx(expected, abs=1e-9)
-            assert max_sigma(bml_homogeneous_witness(p, 1).witness) <= 1.0 + 1e-9
+            assert sigma_max(bml_homogeneous_witness(p, 1).witness.A) <= 1.0 + 1e-9
 
     def test_zero_influence_index_dropped(self):
         # index 2 of block 1 never occurs; construction must not divide by zero
@@ -206,10 +199,10 @@ class TestBmlGeneralWitness:
             target = varD / math.sqrt(float(bml_influences(pD).max()))
             assert cert.certified_value == pytest.approx(target, abs=1e-9)
             assert varD >= bml_variance(p) / p.d
-            assert max_sigma(cert.witness) <= 1.0 + 1e-9
+            assert sigma_max(cert.witness.A) <= 1.0 + 1e-9
             # full p evaluates to the same number: other degree parts annihilate
             w = cert.witness
-            assert evaluate_bml_on_matrices(p, w.u, w.v, w.blocks()) == pytest.approx(
+            assert evaluate_bml_on_matrices(p, w.u, w.v, w.A) == pytest.approx(
                 target, abs=1e-9
             )
 
@@ -220,8 +213,8 @@ class TestDegreeExtractionEmbed:
         cert = bml_general_witness(p)
         w = cert.witness
         emb = degree_extraction_embed(w, p.d, p.d)
-        before = evaluate_bml_on_matrices(p, w.u, w.v, w.blocks())
-        after = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.blocks())
+        before = evaluate_bml_on_matrices(p, w.u, w.v, w.A)
+        after = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
         assert after == pytest.approx(before, abs=1e-12)
 
     def test_isolates_degree_part(self):
@@ -230,15 +223,15 @@ class TestDegreeExtractionEmbed:
         w = cert.witness
         pD = degree_part(p, 1)
         emb = degree_extraction_embed(w, 1, 2)
-        full_on_embedded = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.blocks())
-        part_on_original = evaluate_bml_on_matrices(pD, w.u, w.v, w.blocks())
+        full_on_embedded = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
+        part_on_original = evaluate_bml_on_matrices(pD, w.u, w.v, w.A)
         assert full_on_embedded == pytest.approx(part_on_original, abs=1e-12)
 
     def test_zero_off_part_unchanged(self, rng):
         p = random_homogeneous_bml(rng, n_max=2, d_max=2)
         cert = bml_general_witness(p)
         emb = degree_extraction_embed(cert.witness, p.d, p.d)
-        val = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.blocks())
+        val = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
         assert val == pytest.approx(cert.certified_value, abs=1e-12)
 
     def test_rejects_bad_degree(self):
@@ -263,7 +256,7 @@ class TestContractionCheck:
         for i in range(4):
             assert contraction_check(cert.witness.A[i], 1e-12)["pass"]
 
-    def test_power_iteration_path(self):
+    def test_large_diagonal_matrix(self):
         dim = 600
         diag = np.zeros(dim)
         diag[7] = 3.0
@@ -279,3 +272,15 @@ class TestContractionCheck:
         report = contraction_check(a, 1e-9)
         assert report["sigma_max"] == pytest.approx(2.0, abs=1e-12)
         assert not report["pass"]
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))])
+    def test_rejects_what_is_not_square_matrices(self, a):
+        with pytest.raises(ValueError, match="square"):
+            contraction_check(a, 1e-9)
+
+    def test_stack_is_its_largest_matrix(self, rng):
+        for shape in [(3, 4, 4), (2, 3, 5, 5)]:
+            stack = rng.standard_normal(shape)
+            matrices = stack.reshape((-1,) + shape[-2:])
+            assert sigma_max(stack) == max(sigma_max(a) for a in matrices)
+        assert sigma_max(np.zeros((2, 3, 0, 0))) == 0.0
