@@ -78,6 +78,9 @@ def _cmd_fcb(args) -> int:
     _emit(
         {
             "value": sol.value,
+            "lower": sol.lower,
+            "upper": sol.upper,
+            "gap": sol.upper - sol.lower,
             "primal_residual": sol.primal_residual,
             "dual_residual": sol.dual_residual,
             "localizer_min_eig_slack": sol.localizer_min_eig_slack,
@@ -119,7 +122,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    qsim._check_extractable(args.n)  # before drawing (n+1)*w-dimensional unitaries
+    qsim._check_extractable(args.n, args.queries)  # before drawing (n+1)*w-dimensional unitaries
     alg = qsim.random_algorithm(args.n, args.queries, args.workspace, args.seed)
     p = qsim.extract_polynomial(alg)
     report: dict = {"degree": p.degree, "degree_bound": 2 * args.queries, "degree_ok": True}

@@ -24,7 +24,9 @@ SPECTRUM_TOL = 1e-10
 IMAG_TOL = 1e-10
 DEGREE_COEFF_TOL = 1e-9
 MAX_STATE_DIM = 4096
+MAX_UNITARY_ENTRIES = 2**26  # entries of the d+2 drawn dim x dim matrices, 1 GiB as complex128
 MAX_EXTRACT_VARS = 14
+MAX_STATE_APPLICATIONS = 2**18  # unitaries applied to a state over all 2^n points of an extraction
 
 
 def _state_dim(n: int, d: int, w: int) -> int:
@@ -34,12 +36,23 @@ def _state_dim(n: int, d: int, w: int) -> int:
     dim = (n + 1) * w
     if dim > MAX_STATE_DIM:
         raise CapacityError(f"state dimension {dim} exceeds {MAX_STATE_DIM}")
+    entries = (d + 2) * dim * dim
+    if entries > MAX_UNITARY_ENTRIES:
+        raise CapacityError(
+            f"{d + 2} matrices of dimension {dim} hold {entries} entries, above {MAX_UNITARY_ENTRIES}"
+        )
     return dim
 
 
-def _check_extractable(n: int) -> None:
+def _check_extractable(n: int, d: int) -> None:
     if n > MAX_EXTRACT_VARS:
         raise CapacityError(f"n={n} exceeds the interpolation guard ({MAX_EXTRACT_VARS})")
+    applications = (d + 1) * 2**n
+    if applications > MAX_STATE_APPLICATIONS:
+        raise CapacityError(
+            f"{d + 1} unitaries at each of 2^{n} points make {applications} state applications, "
+            f"above {MAX_STATE_APPLICATIONS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,7 @@ def extract_polynomial(alg: QueryAlgorithm) -> Polynomial:
     Coefficients beyond degree 2d above DEGREE_COEFF_TOL indicate a broken
     model and raise; below it they are hard-zeroed.
     """
-    _check_extractable(alg.n)
+    _check_extractable(alg.n, alg.d)
     values = {
         x: run(alg, x) for x in itertools.product((1, -1), repeat=alg.n)
     }

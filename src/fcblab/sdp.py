@@ -41,20 +41,43 @@ localizer slacks, each via eigendecomposition, starting from zero.  The
 ADMM step is plain (no over-relaxation) and is extrapolated by safeguarded
 type-II Anderson acceleration over the last ANDERSON_MEMORY steps; an
 extrapolated point whose fixed-point residual is worse than that of the
-point it came from is discarded in favour of the plain step.  Residuals are
-checked every RESIDUAL_CHECK_EVERY iterations on a plain step; after the
-first check that passes, one more interval is run and its point returned
-if it passes too.  The penalty rho starts at 1 and is balanced at every
-check: when the ratio of the relative primal residual to the dual residual
-leaves [1/RHO_DEAD_BAND, RHO_DEAD_BAND], rho is multiplied by the ratio's
-square root (Boyd et al. 2011, section 3.4.1; the square-root step is
-OSQP's), within [RHO_MIN, RHO_MAX].  The penalties that solves settle at
-range from about 0.01 to 1, so no fixed start fits; the rule reaches them
-in a few checks where fixed halving steps took hundreds of iterations.  A
+point it came from is discarded in favour of the plain step.
+
+Every RESIDUAL_CHECK_EVERY iterations a plain step is checked.  The check
+measures the relative primal and the dual residual and balances the penalty
+rho, which starts at 1: when the ratio of the two leaves [1/RHO_DEAD_BAND,
+RHO_DEAD_BAND], rho is multiplied by the ratio's square root (Boyd et al.
+2011, section 3.4.1; the square-root step is OSQP's), by a factor of at
+most RHO_STEP_MAX and within [RHO_MIN, RHO_MAX].  Without the factor cap a
+short cadence can flip rho between its bounds at every check, as on a
+degree-1 instance whose primal residual is exactly 0 at its first check.  A
 change rescales the scaled dual and clears the acceleration memory, whose
-steps belong to the old penalty.  The feasible set is bounded (norms of the
-word vectors telescope down from ||v|| = 1), so the iteration converges at
-desk scale without a self-dual embedding.
+steps belong to the old penalty.
+
+The residuals only decide when to look at the value.  A check whose two
+residuals are at most tol evaluates an interval [lower, upper] that holds
+the optimum, and the solve stops once upper - lower <= tol (absolute);
+otherwise it runs on.
+- Lower end: the solver's point x = x0 + T y meets every tie exactly, so
+  only its cones can be violated.  The central point x_c = diag(1 at u,
+  2^{-|w|} at word w) meets every tie, has value 0, and each of its blocks
+  and slacks has least eigenvalue at least 2^{-d}.  By Weyl's inequality
+  (1 - t) x + t x_c is feasible for t = max(-lambda / (2^{-d} - lambda))
+  over the least eigenvalues lambda < 0 of the blocks and slacks of x, and
+  its value (1 - t) c.x is the lower end.
+- Upper end: weak duality for a multiplier L (Jansson, Chaykin & Keil,
+  SIAM J. Numer. Anal. 46, 2007).  L = rho (z - v), the negated scaled
+  dual, is corrected by one solve with the factor already at hand so that
+  (F T)^T L = -T^T c.  Every diagonal of a feasible point is at most 1 (the
+  localizer diagonals telescope down from ||v|| = 1), so a block's trace is
+  at most its size k_j and each variable lies in [-sqrt(2), sqrt(2)]; the
+  bound is c.x0 + <L, F x0> + sum_j k_j max(0, -lambda_min(L_j)) +
+  sqrt(2) ||(F T)^T L + T^T c||_1.
+Both ends are sound up to the rounding of the computed eigenvalues.  The
+solution reports the repaired point: its value is the lower end, and its
+moment matrix and localizer slack are read from it.  The feasible set is
+bounded, so the iteration converges at desk scale without a self-dual
+embedding.
 """
 
 from __future__ import annotations
@@ -77,11 +100,12 @@ MAX_DIM_ENV = "FCBLAB_MAX_DIM"
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200_000
-RESIDUAL_CHECK_EVERY = 25
+RESIDUAL_CHECK_EVERY = 5
 RHO_DEAD_BAND = 5.0  # residual ratio within which the penalty is left alone
+RHO_STEP_MAX = 10.0  # the largest factor by which one check moves the penalty
 RHO_MIN, RHO_MAX = 1e-4, 1e4
 ANDERSON_MEMORY = 20
-ANDERSON_REGULARIZATION = 1e-10  # ridge on the least-squares Gram matrix, relative to its mean diagonal
+ANDERSON_REGULARIZATION = 1e-10  # ridge on the least-squares Gram matrix, relative to the mean squared differences
 COMPLETION_RCOND = 1e-12  # relative cut-off of the separator pseudo-inverse in the completion
 
 
@@ -105,8 +129,10 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    value: float
-    moment: np.ndarray  # the solved clique blocks, completed through the separator
+    value: float  # the value of the reported point, which is lower
+    lower: float  # the ends of an interval that holds the optimum (sound up to eigenvalue rounding)
+    upper: float
+    moment: np.ndarray  # the repaired clique blocks, completed through the separator
     primal_residual: float
     dual_residual: float
     localizer_min_eig_slack: float
@@ -219,13 +245,19 @@ class _Anderson:
     and extrapolates to the combination with the least linearized residual
     (Walker & Ni; Zhang, O'Donoghue & Boyd, arXiv:1808.03971).  The safeguard
     rejects an extrapolated point whose residual exceeds the residual of the
-    accepted point it was extrapolated from.
+    accepted point it was extrapolated from.  The ridge on the Gram matrix is
+    relative to the squared step and residual differences together (Fu,
+    Zhang & Boyd, SIAM J. Sci. Comput. 42, 2020): while the iterate drifts
+    through the interior of the cones the residual stays constant, its
+    differences are rounding noise, and a ridge relative to them alone lets
+    the extrapolation jump by 1e13, which a check iteration does not reject.
     """
 
     def __init__(self, size: int) -> None:
         self.ds = np.zeros((ANDERSON_MEMORY, size))
         self.dr = np.zeros((ANDERSON_MEMORY, size))
         self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.ds_sq = np.zeros(ANDERSON_MEMORY)
         self.reset()
 
     def reset(self) -> None:
@@ -244,6 +276,7 @@ class _Anderson:
             slot = self.count % ANDERSON_MEMORY
             np.subtract(step, self.last[0], out=self.ds[slot])
             np.subtract(residual, self.last[1], out=self.dr[slot])
+            self.ds_sq[slot] = self.ds[slot] @ self.ds[slot]
             self.count += 1
             k = min(self.count, ANDERSON_MEMORY)
             row = self.dr[:k] @ self.dr[slot]
@@ -255,7 +288,7 @@ class _Anderson:
         if not extrapolate or k == 0:
             return step
         gram = self.gram[:k, :k]
-        ridge = ANDERSON_REGULARIZATION * np.trace(gram) / k
+        ridge = ANDERSON_REGULARIZATION * (np.trace(gram) + self.ds_sq[:k].sum()) / k
         try:
             gamma = np.linalg.solve(gram + ridge * np.eye(k), self.dr[:k] @ residual)
         except np.linalg.LinAlgError:
@@ -265,17 +298,20 @@ class _Anderson:
 
 
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
-    """Run the accelerated consensus ADMM iteration until residuals fall below tol.
+    """Run the accelerated consensus ADMM iteration until the certified gap is at most tol.
 
-    The primal residual is the larger of ||F x - z|| / (1 + ||F x||) and the
-    largest entry of |F x - z|; the dual residual is
+    The primal residual is ||F x - z|| / (1 + ||F x||) and the dual residual
     rho ||(F T)^T (z - z_prev)|| / (1 + ||c||).  At every residual check the
-    relative primal norm is compared with the dual residual, and a ratio
-    outside the dead band multiplies rho (starting at 1) by its square root.
-    The solution reports the final rho, the number of changes and one
-    history row per check.  Returns converged=False (with residuals) when the
-    iteration budget is exhausted; callers decide whether that is fatal.  A
-    tol that is not positive and finite, or max_iters below 1, is a ValueError.
+    two are compared, and a ratio outside the dead band multiplies rho
+    (starting at 1) by its square root, by at most RHO_STEP_MAX.  A check
+    whose residuals are both at most tol evaluates the interval [lower,
+    upper] that holds the optimum, and the solve stops once upper - lower <=
+    tol.  The solution reports the repaired point of the last check (its
+    value is lower), the final rho, the number of changes and one history
+    row per check.  Returns converged=False when the iteration budget is
+    exhausted, with the interval of the last iteration; callers decide
+    whether that is fatal.  A tol that is not positive and finite, or
+    max_iters below 1, is a ValueError.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -308,18 +344,15 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 
     # Each off-diagonal entry carries the weight sqrt(2) of the symmetric
     # vectorization: its variable is weight times its value (T maps it to both
-    # mirrored entries with 1/weight), which fixes the scale of the dual
-    # residual, and the entry-wise primal check weighs each mismatch likewise.
-    # A slack entry is diagonal exactly when its clique block entry is.
-    weight = np.where(np.eye(k, dtype=bool), 1.0, np.sqrt(2.0)).reshape(-1)
-    row_weight = np.concatenate([np.tile(weight, n_cliques), weight[loc_shift.reshape(-1) % weight.size]])
+    # mirrored entries with 1/weight), which fixes the scale of the dual residual.
+    weight = np.tile(np.where(np.eye(k, dtype=bool), 1.0, np.sqrt(2.0)).reshape(-1), n_cliques)
 
     # x = x0 + T y meets the mirrored and shared entries, the class ties and
     # the fixed diagonals for every y, so the ADMM runs on y through G = F T.
     variable = prob.variable.reshape(-1)
     free = np.flatnonzero(variable >= 0)
     T = sp.csr_matrix(
-        (1.0 / row_weight[free], (free, variable[free])),
+        (1.0 / weight[free], (free, variable[free])),
         shape=(n_vec, int(variable.max()) + 1),
     )
     x0 = np.where(variable >= 0, 0.0, 1.0)
@@ -332,10 +365,42 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     cy = T.T @ c
     c_norm = 1.0 + np.linalg.norm(c)
 
+    def stacks(vec: np.ndarray) -> list[np.ndarray]:
+        """The clique blocks and the localizer slacks of a vector in the range of F."""
+        return [vec[:n_vec].reshape(n_cliques, k, k), vec[n_vec:].reshape(loc_shift.shape)]
+
     def project_blocks(vec: np.ndarray) -> np.ndarray:
-        blocks = _psd_project(vec[:n_vec].reshape(n_cliques, k, k))
-        slacks = _psd_project(vec[n_vec:].reshape(loc_shift.shape))
-        return np.concatenate([blocks.reshape(-1), slacks.reshape(-1)])
+        return np.concatenate([_psd_project(stack).reshape(-1) for stack in stacks(vec)])
+
+    def least_eigenvalues(vec: np.ndarray) -> np.ndarray:
+        """The least eigenvalue of each (symmetrized) clique block and localizer slack."""
+        return np.concatenate(
+            [np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))[:, 0] for s in stacks(vec) if s.size]
+        )
+
+    # The central point x_c of the lower end; its blocks and slacks have
+    # least eigenvalue at least 2^{-d}.  A block's size bounds its trace on
+    # the feasible set (in the order of least_eigenvalues).
+    length = np.array([0] + [len(w) for w in prob.words])
+    central = np.where(prob.cliques == 0, 1.0, 0.5 ** length[prob.cliques])
+    x_central = (central[:, :, None] * np.eye(k)).reshape(-1)
+    central_least = 0.5**prob.d
+    sizes = np.concatenate([np.full(len(s), s.shape[1]) for s in stacks(fx0) if s.size])
+
+    def interval(fx: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
+        """The ends lower <= optimum <= upper and the repair weight t, as in the module docstring."""
+        negative = np.minimum(least_eigenvalues(fx), 0.0)
+        t = float(np.max(-negative / (central_least - negative)))
+        dual = rho * (z - v)
+        dual -= G @ solver.solve(Gt @ dual + cy)
+        excess = Gt @ dual + cy
+        upper = (
+            c @ x0
+            + dual @ fx0
+            + sizes @ np.maximum(-least_eigenvalues(dual), 0.0)
+            + np.sqrt(2.0) * np.abs(excess).sum()
+        )
+        return (1.0 - t) * float(c @ fx[:n_vec]), float(upper), t
 
     # The state is the point v that the projection is applied to: z = P(v) is
     # the consensus copy and u = v - z the scaled dual, so one plain ADMM step
@@ -344,14 +409,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     v = np.zeros(F.shape[0])
     z = project_blocks(v)
     accel = _Anderson(v.size)
-    y = np.zeros(T.shape[1])
-    # An accelerated run can reach tol in the middle of a steep descent, where
-    # a check catches a point that passes only barely.  The first passing check
-    # settles convergence; the solve runs one more check interval and returns
-    # that later point when it passes too, else the first one.
-    passed: tuple[np.ndarray, float, float] | None = None
-    primal_res = primal_rel = np.inf
-    dual_res = np.inf
+    primal_res = dual_res = np.inf
     iterations = penalty_changes = 0
     converged = False
     history: list[tuple[int, float, float, float, float]] = []
@@ -367,44 +425,41 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         check = iteration % RESIDUAL_CHECK_EVERY == 0 or iteration == max_iters
         v = accel.advance(step, step - v, extrapolate=not check)
         z_prev, z = z, project_blocks(v)
+        if not check:
+            continue
 
-        if check:
-            mismatch = fx - z
-            primal_rel = float(np.linalg.norm(mismatch) / (1.0 + np.linalg.norm(fx)))
-            # The relative norm alone lets single entries of a large moment
-            # matrix leave their cone by many times tol (at d=3, value errors
-            # of 2e-5 at tol 1e-6), so every entry is held to tol as well.
-            primal_res = max(primal_rel, float(np.abs(mismatch * row_weight).max()))
-            dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
-            history.append((iteration, primal_res, dual_res, rho, time.perf_counter() - start))
-            if primal_res <= tol and dual_res <= tol:
-                if passed is not None or iteration == max_iters:
-                    converged = True
-                    break
-                passed = (y, primal_res, dual_res)
-            elif passed is not None:
-                y, primal_res, dual_res = passed
-                converged = True
+        primal_res = float(np.linalg.norm(fx - z) / (1.0 + np.linalg.norm(fx)))
+        dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
+        history.append((iteration, primal_res, dual_res, rho, time.perf_counter() - start))
+        passed = primal_res <= tol and dual_res <= tol
+        if passed or iteration == max_iters:
+            lower, upper, t = interval(fx, v, z)
+            converged = passed and upper - lower <= tol
+            if converged or iteration == max_iters:
                 break
-            # Residual balancing: a residual ratio outside the dead band moves
-            # rho by its square root (a zero primal residual sends it to RHO_MIN).
-            ratio = primal_rel / dual_res if dual_res > 0.0 else 1.0
-            if not 1.0 / RHO_DEAD_BAND <= ratio <= RHO_DEAD_BAND:
-                new_rho = min(max(rho * ratio**0.5, RHO_MIN), RHO_MAX)
-                if new_rho != rho:
-                    factor = new_rho / rho
-                    rho = new_rho
-                    v = z + (v - z) / factor
-                    accel.reset()
-                    penalty_changes += 1
+        # Residual balancing: a residual ratio outside the dead band moves rho
+        # by its square root, by a factor of at most RHO_STEP_MAX per check.
+        ratio = primal_res / dual_res if dual_res > 0.0 else 1.0
+        if not 1.0 / RHO_DEAD_BAND <= ratio <= RHO_DEAD_BAND:
+            factor = min(max(ratio**0.5, 1.0 / RHO_STEP_MAX), RHO_STEP_MAX)
+            new_rho = min(max(rho * factor, RHO_MIN), RHO_MAX)
+            if new_rho != rho:
+                factor = new_rho / rho
+                rho = new_rho
+                v = z + (v - z) / factor
+                accel.reset()
+                penalty_changes += 1
 
-    x = x0 + T @ y
+    # The repaired point: feasible up to the rounding of the eigenvalues.
+    x = (1.0 - t) * (x0 + T @ y) + t * x_central
     min_slack = 0.0
     if loc_shift.size:
         min_slack = float(np.linalg.eigvalsh(x[loc_base] - x[loc_shift]).min())
 
     return SdpSolution(
-        value=float(c @ x),
+        value=lower,
+        lower=lower,
+        upper=upper,
         moment=_complete(prob, x.reshape(n_cliques, k, k)),
         primal_residual=primal_res,
         dual_residual=dual_res,
@@ -448,16 +503,19 @@ def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
 
 
 def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Fourier completely bounded d-norm of p via build + solve."""
+    """Fourier completely bounded d-norm of p via build + solve: the lower end of an interval of width <= tol."""
     prob = build_fcb_sdp(p, d)
     sol = solve_sdp(prob, tol=tol, max_iters=max_iters)
     if not sol.converged:
+        gap = f"certified gap {sol.upper - sol.lower:.2e} at iteration {sol.iterations}"
+        if not any(primal <= tol and dual <= tol for _, primal, dual, _, _ in sol.history):
+            gap = f"no check passed its residuals; {gap}"
         checks = "; ".join(
             f"iteration {it}: primal {primal:.2e}, dual {dual:.2e}, rho {rho:.2e}, {seconds:.3f} s"
             for it, primal, dual, rho, seconds in sol.history[-3:]
         )
         raise ConvergenceError(
-            f"SDP did not reach tol={tol} in {sol.iterations} iterations "
+            f"SDP did not reach tol={tol} in {sol.iterations} iterations: {gap} "
             f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e}); final rho {sol.rho:.2e}; "
             f"last checks: {checks}"
         )

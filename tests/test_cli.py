@@ -105,6 +105,23 @@ class TestFcb:
         assert isinstance(report["penalty_changes"], int)
         assert out_witness.exists()
 
+    def test_reports_certified_interval(self, tmp_path, capsys):
+        # CHSH at d=2: Tsirelson's bound sqrt(2) lies in the reported interval.
+        path = tmp_path / "chsh.json"
+        save_polynomial(Polynomial(4, {(1, 3): 0.5, (1, 4): 0.5, (2, 3): 0.5, (2, 4): -0.5}), path)
+        assert main(["fcb", str(path), "--d", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lower"] <= 2**0.5 <= report["upper"]
+        assert report["gap"] == report["upper"] - report["lower"] <= 1e-6
+        assert report["value"] == report["lower"]
+
+    def test_unconverged_solve_reports_its_interval(self, maj3_file, capsys):
+        assert main(["fcb", maj3_file, "--d", "3", "--max-iters", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is False
+        assert report["lower"] <= 1.0 <= report["upper"]
+        assert report["gap"] > 1e-6
+
     def test_capacity_override(self, maj3_file, capsys, monkeypatch):
         monkeypatch.setenv("FCBLAB_MAX_DIM", "5")
         assert main(["fcb", maj3_file, "--d", "3"]) == 2
@@ -204,6 +221,12 @@ class TestSimulate:
     def test_oversized_run_fails_before_drawing(self, no_unitary_draws, capsys, sizes, guard):
         assert main(["simulate", *sizes]) == 2
         assert guard in capsys.readouterr().err
+
+
+    def test_query_count_fails_before_drawing(self, no_unitary_draws, capsys):
+        # 200,000 queries at 4 points: 800,004 state applications.
+        assert main(["simulate", "--n", "2", "--queries", "200000"]) == 2
+        assert "800004 state applications" in capsys.readouterr().err
 
 
 class TestCheck:

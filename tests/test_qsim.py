@@ -53,6 +53,11 @@ class TestRandomAlgorithm:
         with pytest.raises(error):
             random_algorithm(n, d, w, 0)
 
+    def test_stored_matrices_checked_before_drawing(self, no_unitary_draws):
+        # 62 matrices of dimension 1100 would hold 75,020,000 entries.
+        with pytest.raises(CapacityError, match="75020000 entries"):
+            random_algorithm(10, 60, 100, 0)
+
     def test_rejects_non_unitary(self):
         alg = random_algorithm(1, 0, 1, 0)
         bad = tuple(2.0 * u for u in alg.unitaries)
@@ -104,6 +109,12 @@ class TestExtractPolynomial:
         for seed in range(20):
             p = extract_polynomial(random_algorithm(2, 1, 1, seed))
             assert p.degree <= 2
+
+    def test_state_applications_guard(self):
+        # 17 unitaries at each of 2^14 points: 278,528 state applications.
+        alg = random_algorithm(14, 16, 1, 0)
+        with pytest.raises(CapacityError, match="278528 state applications"):
+            extract_polynomial(alg)
 
     def test_identity_observable_constant_one(self):
         base = random_algorithm(2, 1, 1, 3)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcblab import (
     CapacityError,
@@ -19,7 +21,7 @@ from fcblab import (
     sup_norm_bruteforce,
     verify_bb,
 )
-from fcblab.sdp import build_fcb_sdp, extract_witness, solve_sdp
+from fcblab.sdp import _Anderson, build_fcb_sdp, extract_witness, solve_sdp
 from fcblab.errors import ExtractionError
 
 from conftest import all_points, maj3, random_poly
@@ -57,6 +59,17 @@ PANEL_N4 = Polynomial(
 LINEAR_N3 = Polynomial(
     3, {(): -1.738266398496882, (1,): -1.3366427931811324, (2,): -1.361106708564987, (3,): -0.35161713127840977}
 )
+
+# Values of the full D x D moment program, solved to tol 1e-9 before the
+# program was split into clique blocks; the cvxpy cross-check below is
+# skipped wherever cvxpy is not installed, so these stand in for it.
+PINNED_OPTIMA = [
+    (PANEL_N3, 2, 2.0801949411530543),
+    (PANEL_N3, 3, 2.0801949414348906),
+    (maj3(), 3, 1.0000000000002158),
+    (PANEL_N4, 2, 4.720888846732544),
+    (LINEAR_N3, 1, 4.7876330315214055),
+]
 
 
 class TestBuild:
@@ -203,11 +216,11 @@ class TestSolveAnchors:
         with pytest.raises(ConvergenceError) as info:
             fcb_norm(maj3(), 3, max_iters=80)
         checks = str(info.value).split("last checks: ")[1].split("; ")
-        assert [check.split(":")[0] for check in checks] == ["iteration 50", "iteration 75", "iteration 80"]
+        assert [check.split(":")[0] for check in checks] == ["iteration 70", "iteration 75", "iteration 80"]
 
     def test_history_has_one_row_per_check(self):
         sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=110)
-        assert [row[0] for row in sol.history] == [25, 50, 75, 100, 110]
+        assert [row[0] for row in sol.history] == list(range(5, 111, 5))
         iteration, primal, dual, rho, seconds = sol.history[-1]
         assert (primal, dual) == (sol.primal_residual, sol.dual_residual)
         assert rho > 0.0
@@ -254,21 +267,17 @@ class TestSolveAnchors:
 
 
 class TestPinnedOptima:
-    # Values of the full D x D moment program, solved to tol 1e-9 before the
-    # program was split into clique blocks; the cvxpy cross-check below is
-    # skipped wherever cvxpy is not installed, so these stand in for it.
-    @pytest.mark.parametrize(
-        "p, d, value",
-        [
-            (PANEL_N3, 2, 2.0801949411530543),
-            (PANEL_N3, 3, 2.0801949414348906),
-            (maj3(), 3, 1.0000000000002158),
-            (PANEL_N4, 2, 4.720888846732544),
-            (LINEAR_N3, 1, 4.7876330315214055),
-        ],
-    )
+    @pytest.mark.parametrize("p, d, value", PINNED_OPTIMA)
     def test_value(self, p, d, value):
         assert fcb_norm(p, d) == pytest.approx(value, abs=1e-6)
+
+    @pytest.mark.parametrize("p, d, value", PINNED_OPTIMA)
+    def test_value_inside_certified_interval(self, p, d, value):
+        sol = solve_sdp(build_fcb_sdp(p, d))
+        assert sol.converged
+        assert sol.lower - 1e-9 <= value <= sol.upper + 1e-9
+        assert sol.upper - sol.lower <= 1e-6
+        assert sol.value == sol.lower
 
     def test_reported_moment_completes_the_clique_blocks(self):
         p = PANEL_N3
@@ -294,6 +303,90 @@ class TestPinnedOptima:
         # The completion is no further from PSD than the least PSD clique block.
         blocks = np.array([m[np.ix_(clique, clique)] for clique in prob.cliques])
         assert np.linalg.eigvalsh(m)[0] >= min(0.0, np.linalg.eigvalsh(blocks).min()) - 1e-9
+
+
+class TestCertifiedInterval:
+    def test_penalty_steps_are_capped(self):
+        # Its primal residual is exactly 0 at iteration 5.  Moving rho by the
+        # full square root of the residual ratio at every check sent it
+        # between 1e-4 and 1e4 until the iteration budget ran out.
+        p = Polynomial(1, {(): 0.18811840863242424, (1,): 0.12985380635082025})
+        sol = solve_sdp(build_fcb_sdp(p, 1))
+        assert sol.converged
+        assert sol.iterations <= 200
+        assert sol.lower <= spectral_l1(p) <= sol.upper
+
+    def test_tiny_objective_converges(self):
+        # The iterate drifts through the interior at a constant residual for
+        # many checks; an Anderson ridge relative to the residual differences
+        # alone extrapolated by 1e13 there, and the solve never converged.
+        p = Polynomial(1, {(1,): 1e-6})
+        sol = solve_sdp(build_fcb_sdp(p, 1))
+        assert sol.converged
+        assert sol.iterations <= 1000
+        assert sol.lower <= 1e-6 <= sol.upper
+
+    def test_anderson_step_stays_bounded_on_a_drift(self):
+        rng = np.random.default_rng(0)
+        drift = 0.02 * rng.standard_normal(40)
+        accel = _Anderson(drift.size)
+        v = np.zeros(drift.size)
+        for _ in range(30):
+            residual = drift + 1e-17 * rng.standard_normal(drift.size)  # constant up to rounding
+            step = v + residual
+            v = accel.advance(step, residual, extrapolate=True)
+            assert np.linalg.norm(v - step) <= 10 * np.linalg.norm(drift)
+
+    def test_reported_moment_is_psd(self):
+        # Restriction x2 = -1 of instance 19 of the criterion-5 generator at
+        # seed 99, whose reported moment matrix had an eigenvalue of -1.15e-6
+        # when the solver reported its own point in place of the repaired one.
+        p = Polynomial(
+            2,
+            {
+                (): 2.1881188770583178,
+                (1,): -2.616367072131033,
+                (1, 2): -0.576037114211326,
+                (2,): -0.7383597339743386,
+            },
+        )
+        prob = build_fcb_sdp(p, 2)
+        sol = solve_sdp(prob)
+        assert sol.converged
+        assert np.linalg.eigvalsh(sol.moment)[0] >= -1e-12
+        assert sol.localizer_min_eig_slack >= -1e-12
+        value = sum(c * sol.moment[0, prob.word_index[canonical_word(s, 2, p.n)]] for s, c in p.coeffs.items())
+        assert value == pytest.approx(sol.value, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        d=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_interval_holds_sup_norm_and_spectral_l1(self, n, d, data):
+        # sup |p| <= ||p||_{fcb,d} <= sum |p_hat(S)|, so the two ends may not cross them.
+        monomials = [s for r in range(d + 1) for s in itertools.combinations(range(1, n + 1), r)]
+        values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(monomials), max_size=len(monomials)))
+        p = Polynomial(n, dict(zip(monomials, values)))
+        sol = solve_sdp(build_fcb_sdp(p, d))
+        assert sol.converged
+        assert sol.upper - sol.lower <= 1e-6
+        assert sup_norm_bruteforce(p) <= sol.upper + 1e-9
+        assert sol.lower <= spectral_l1(p) + 1e-9
+
+    def test_convergence_error_says_no_check_passed_its_residuals(self):
+        with pytest.raises(ConvergenceError, match="in 3 iterations: no check passed its residuals"):
+            fcb_norm(Polynomial(1, {(1,): 1.0}), 1, max_iters=3)
+
+    def test_convergence_error_names_the_last_gap(self):
+        # maj3 at d=3 passes its residuals from iteration 105 and closes its gap at 120.
+        sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=110)
+        assert not sol.converged
+        gap = sol.upper - sol.lower
+        assert 1e-6 < gap
+        with pytest.raises(ConvergenceError, match=f": certified gap {gap:.2e} at iteration 110 "):
+            fcb_norm(maj3(), 3, max_iters=110)
 
 
 class TestProperties:
