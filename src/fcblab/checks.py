@@ -91,17 +91,9 @@ def random_homogeneous_bml(
 
 def suite_monotonicity(seed: int, trials: int = 6) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
-    rows = []
-    for p, name in ((Polynomial(2, {}), "edge-zero"), (Polynomial(2, {(): 0.7}), "edge-constant")):
-        v1 = fcb_norm(p, 1)
-        v2 = fcb_norm(p, 2)
-        rows.append(CheckRow(name, "fcb_monotone_d1_d2", v2, v1 + SDP_MARGIN))
-    for k in range(trials):
-        p = random_poly(rng, 2, 1, 3)
-        v1 = fcb_norm(p, 1)
-        v2 = fcb_norm(p, 2)
-        rows.append(CheckRow(f"mono-{k:03d}", "fcb_monotone_d1_d2", v2, v1 + SDP_MARGIN))
-    return rows
+    cases = [("edge-zero", Polynomial(2, {})), ("edge-constant", Polynomial(2, {(): 0.7}))]
+    cases += [(f"mono-{k:03d}", random_poly(rng, 2, 1, 3)) for k in range(trials)]
+    return [CheckRow(name, "fcb_monotone_d1_d2", fcb_norm(p, 2), fcb_norm(p, 1) + SDP_MARGIN) for name, p in cases]
 
 
 def suite_restriction(seed: int, trials: int = 5) -> list[CheckRow]:

@@ -19,9 +19,7 @@ clique blocks in place of one D x D cone, with the same optimum (Zheng,
 Fantuzzi, Papachristodoulou, Goulart & Wynn, Math. Prog. 180, 2020).  The
 entries that no clique covers have no variable.  After the solve they are
 filled by the completion M[P_i, P_j] = M[P_i, S] M[S, S]^+ M[S, P_j] of the
-private parts P_i through the separator S, applied to the clique blocks
-shifted by their most negative eigenvalue and shifted back, so the reported
-matrix is no further from PSD than its least PSD clique block.
+private parts P_i through the separator S.
 
 The program is built in the form the solver works in: a stack of the clique
 blocks, each a dense symmetric k x k matrix, beside a stack of the localizer
@@ -120,7 +118,8 @@ class SdpProblem:
     objective: np.ndarray
     # (n+1, k, k), symmetric: the index of each entry's free variable; -1 where it is fixed at 1.
     variable: np.ndarray
-    localizers: list[tuple[np.ndarray, np.ndarray]]  # (rows of v_{i w}, rows of v_w); letter i lies in clique i-1
+    base: np.ndarray  # (|W0|,): the moment indices of the words w of length <= d-1
+    shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the indices of the words i w; letter i lies in clique i-1
     n: int
     d: int
     words: list[Word]
@@ -167,13 +166,15 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     if p.degree > d:
         raise ValueError(f"degree {p.degree} exceeds d={d}")
     n = p.n
-    dim = 1 + sum((n + 1) ** s for s in range(d + 1))
     limit = _max_dim()
-    if dim > limit:
-        raise CapacityError(
-            f"moment matrix dimension {dim} exceeds the guard {limit} "
-            f"(override with {MAX_DIM_ENV})"
-        )
+    dim = 1
+    for s in range(d + 1):  # stops at the guard: (n+1)^d has no bound for a huge d
+        dim += (n + 1) ** s
+        if dim > limit:
+            raise CapacityError(
+                f"the moment matrix at d={d} exceeds the guard of dimension {limit} "
+                f"(override with {MAX_DIM_ENV})"
+            )
 
     words = _all_words(n, d)
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
@@ -207,18 +208,14 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
 
-    base = [word_index[w] for w in words if len(w) <= d - 1]
-    localizers = []
-    for i in range(1, n + 2):
-        shifted = [word_index[(i,) + w] for w in words if len(w) <= d - 1]
-        localizers.append((np.array(shifted, dtype=int), np.array(base, dtype=int)))
-
+    short = [w for w in words if len(w) <= d - 1]
     return SdpProblem(
         dim=dim,
         cliques=cliques,
         objective=objective[blocks],
         variable=variable,
-        localizers=localizers,
+        base=np.array([word_index[w] for w in short], dtype=int),
+        shifted=np.array([[word_index[(i,) + w] for w in short] for i in range(1, n + 2)], dtype=int),
         n=n,
         d=d,
         words=words,
@@ -328,8 +325,8 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     which = np.arange(n_cliques)[:, None]
     position = np.zeros((n_cliques, prob.dim), dtype=int)
     position[which, prob.cliques] = np.arange(k)
-    base = position[0, prob.localizers[0][1]]
-    shifted = position[which, np.array([words for words, _ in prob.localizers])]
+    base = position[0, prob.base]
+    shifted = position[which, prob.shifted]
     offset = k * k * which[:, :, None]
     loc_base = offset + k * base[:, None] + base
     loc_shift = offset + k * shifted[:, :, None] + shifted[:, None, :]
@@ -475,22 +472,18 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
     """The D x D moment matrix with the given clique blocks, completed through the separator.
 
-    The private parts P_i, P_j of two cliques meet in M[P_i, S] A^+ M[S, P_j],
-    where A is the separator block M[S, S] plus the shift that makes every
-    clique block PSD.  That completion of the shifted blocks is PSD, so the
-    returned matrix, shifted back, has no eigenvalue below the least one of
-    the clique blocks.
+    The private parts P_i, P_j of two cliques meet in M[P_i, S] M[S, S]^+ M[S, P_j],
+    which is PSD when every clique block is.
     """
     moment = np.zeros((prob.dim, prob.dim))
     for clique, block in zip(prob.cliques, blocks):
         moment[np.ix_(clique, clique)] = block
     if len(prob.cliques) == 1:
         return moment
-    width = 1 + prob.localizers[0][1].size  # the separator: u and the base words
+    width = 1 + prob.base.size  # the separator: u and the base words
     separator = prob.cliques[0, :width]
     private = prob.cliques[:, width:]
-    shift = max(0.0, -float(np.linalg.eigvalsh(blocks).min()))
-    anchor = moment[np.ix_(separator, separator)] + shift * np.eye(width)
+    anchor = moment[np.ix_(separator, separator)]
     cross = moment[np.ix_(separator, private.reshape(-1))]
     eigvals, eigvecs = np.linalg.eigh(anchor)
     keep = eigvals > COMPLETION_RCOND * eigvals[-1]
@@ -522,9 +515,10 @@ def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = D
     return sol.value
 
 
-# A solve to DEFAULT_TOL does not resolve eigen-directions below it; keeping
-# them lets the least-squares map amplify noise into spurious singular values.
-RANK_TOLERANCE = DEFAULT_TOL
+# Directions of the word vectors below PINV_RCOND times the largest singular
+# value are resolved by no solve to DEFAULT_TOL; with numpy's default cut-off
+# the least-squares map amplifies them (by 1.05e-2 past 1 on
+# 0.7893649314827461 - 1.0553018806519403 x1 at d = 2).
 PINV_RCOND = 1e-5
 SINGULAR_EXCESS_TOLERANCE = 1e-6
 
@@ -532,37 +526,32 @@ SINGULAR_EXCESS_TOLERANCE = 1e-6
 def extract_witness(sol: SdpSolution, prob: SdpProblem) -> Witness:
     """Gram-factorize the moment matrix into an explicit Boolean-behavior triple.
 
-    Eigenvalues below RANK_TOLERANCE are discarded; A(i) is the least-squares
+    The factors span every positive eigenvalue; A(i) is the least-squares
     map sending each word vector v_w to v_{i w} (zero on the orthogonal
     complement, with singular values of the word vectors below PINV_RCOND
-    times the largest treated as zero), with singular values clamped to 1
-    when the excess is within SINGULAR_EXCESS_TOLERANCE.
+    times the largest treated as zero).  A letter whose map has a singular
+    value more than SINGULAR_EXCESS_TOLERANCE above 1 is refused.
     """
     if not sol.converged:
         raise ExtractionError("solution did not converge; refusing to extract a witness")
     moment = 0.5 * (sol.moment + sol.moment.T)
     eigvals, eigvecs = np.linalg.eigh(moment)
-    keep = eigvals >= RANK_TOLERANCE
+    keep = eigvals > 0.0
     if not keep.any():
         raise ExtractionError("moment matrix is numerically zero")
     factors = eigvecs[:, keep] * np.sqrt(eigvals[keep])  # row alpha = vector of index alpha
 
     u = factors[0]
     v = factors[prob.word_index[()]]
-    base = factors[prob.localizers[0][1]].T  # rank x |W0|
-    base_pinv = np.linalg.pinv(base, rcond=PINV_RCOND)
-
-    shifted = np.array(prob.localizers)[:, 0]  # (n+1) x |W0| rows of v_{i w}
-    targets = np.swapaxes(factors[shifted], 1, 2)  # (n+1) x rank x |W0|
-    left, sing, right = np.linalg.svd(targets @ base_pinv)
-    excess = np.maximum(sing.max(axis=1, initial=0.0) - 1.0, 0.0)
+    targets = np.swapaxes(factors[prob.shifted], 1, 2)  # (n+1) x rank x |W0|: the vectors v_{i w}
+    A = targets @ np.linalg.pinv(factors[prob.base].T, rcond=PINV_RCOND)
+    excess = np.maximum(np.linalg.svd(A, compute_uv=False).max(axis=1, initial=0.0) - 1.0, 0.0)
     over = excess > SINGULAR_EXCESS_TOLERANCE
     if over.any():
         i = int(np.argmax(over))  # the first letter past the tolerance
         raise ExtractionError(
             f"letter {i + 1}: singular value exceeds 1 by {excess[i]:.2e}; solve to a tighter tolerance"
         )
-    A = (left * np.minimum(sing, 1.0)[:, None, :]) @ right
 
     u_norm = np.linalg.norm(u)
     v_norm = np.linalg.norm(v)

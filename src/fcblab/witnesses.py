@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
 from .behavior import Witness, evaluate_bml_on_matrices, evaluate_on_witness
+from .errors import CapacityError
 from .linalg import sigma_max
 from .poly import (
     BlockMultilinearPolynomial,
@@ -35,6 +36,7 @@ from .poly import (
 HOMOGENEOUS_FCB = "homogeneous_fcb"
 BML_HOMOGENEOUS = "bml_homogeneous"
 BML_GENERAL = "bml_general"
+MAX_WITNESS_ENTRIES = 2**26  # entries of the matrix stack A, 512 MiB as float64
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,20 @@ def contraction_check(a: np.ndarray, tol: float) -> dict:
     return {"sigma_max": sigma, "pass": bool(sigma <= 1.0 + tol)}
 
 
+def _check_entries(letters: int, sizes) -> None:
+    """Raise CapacityError when `letters` matrices on a basis of sum(sizes) vectors pass MAX_WITNESS_ENTRIES.
+
+    The sum stops at the guard, so a huge n or d is refused at once.
+    """
+    m = 0
+    for size in sizes:
+        m += size
+        if letters * m * m > MAX_WITNESS_ENTRIES:
+            raise CapacityError(
+                f"{letters} matrices of dimension at least {m} exceed the guard of {MAX_WITNESS_ENTRIES} entries"
+            )
+
+
 def _annihilation_tuple(coeffs, sets, letters, slot, root):
     """Flat tuple (u, v, A) on the basis {v} + {f_S : S in sets}, with u = f_{}.
 
@@ -115,10 +131,11 @@ def homogeneous_fcb_witness(p: Polynomial) -> InfluenceCertificate:
     d = p.degree
     if not p.is_homogeneous() or d < 1:
         raise ValueError("construction requires a homogeneous polynomial of degree >= 1")
+    n = p.n
+    _check_entries(n + 1, itertools.chain([1], (comb(n, r) for r in range(d))))
     st = statistics(p)
     if st.variance == 0.0:
         raise ValueError("zero polynomial has no influence certificate")
-    n = p.n
     subsets = sorted(
         s for r in range(d) for s in itertools.combinations(range(1, n + 1), r)
     )
@@ -171,6 +188,10 @@ def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceC
     if not (1 <= s <= d):
         raise IndexError(f"block {s} out of range for d={d}")
     n = p.n
+    # {e_()} + suffix sets of sizes 1..d-s, {f_()} + prefix sets of sizes 1..s-1
+    _check_entries(
+        d * n, itertools.chain([2], (n**r for r in range(1, d - s + 1)), (n**r for r in range(1, s)))
+    )
     inf_s = bml_influences(p)[s - 1]
 
     e_sets = _suffix_sets(n, d, s)
@@ -251,6 +272,7 @@ def bml_general_witness(p: BlockMultilinearPolynomial) -> InfluenceCertificate:
     D = max(range(1, p.d + 1), key=lambda r: (part_vars[r], -r))
     pD = degree_part(p, D)
     d = p.d
+    _check_entries(d * p.n, itertools.chain([1], (comb(d, r) * p.n**r for r in range(D))))
     u, v, A = _annihilation_tuple(
         pD.coeffs,
         _partial_sets(p.n, d, D - 1),

@@ -138,6 +138,13 @@ class TestFcb:
         assert main(["fcb", maj3_file, "--d", "3", "--max-iters", "0"]) == 2
         assert "max_iters must be at least 1" in capsys.readouterr().err
 
+    def test_huge_d_fails_at_once(self, tmp_path, capsys):
+        # Summing (n+1)^s over every s <= d as exact integers ran for minutes here.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "coeffs": [{"subset": [1], "value": 1.0}]}))
+        assert main(["fcb", str(path), "--d", "200000"]) == 2
+        assert "at d=200000 exceeds the guard" in capsys.readouterr().err
+
 
 class TestWitnessCommand:
     def test_fcb_kind(self, tmp_path, capsys):
@@ -165,6 +172,24 @@ class TestWitnessCommand:
         assert main(["witness", str(path), "--kind", "bml-gen"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "bml_general"
+
+    def test_oversized_fcb_kind_fails_before_building(self, tmp_path, capsys):
+        # 1 + sum_{r < 30} C(60, r) basis vectors for 61 letters.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 60, "coeffs": [{"subset": list(range(1, 31)), "value": 1.0}]}))
+        assert main(["witness", str(path), "--kind", "fcb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "61 matrices of dimension at least" in captured.err
+
+    @pytest.mark.parametrize("kind", ["bml-hom", "bml-gen"])
+    def test_oversized_bml_kinds_fail_before_building(self, tmp_path, capsys, kind):
+        path = tmp_path / "b.json"
+        save_bml(BlockMultilinearPolynomial(12, 9, {tuple((b, 1) for b in range(1, 10)): 1.0}), path)
+        assert main(["witness", str(path), "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "108 matrices of dimension at least" in captured.err
 
     def test_float_index_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "b.json"

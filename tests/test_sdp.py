@@ -138,8 +138,8 @@ class TestBuild:
             assert inside([u, prob.word_index[canonical_word(s, d, n)]])
         for members in enumerate_classes(n, d).values():
             assert all(inside([u, prob.word_index[w]]) for w in members)
-        for shifted, base in prob.localizers:
-            assert inside(shifted) and inside(base)
+        assert inside(prob.base)
+        assert all(inside(shifted) for shifted in prob.shifted)
         # Each coefficient is placed once, on one clique entry and its mirror image.
         assert np.count_nonzero(prob.objective) == 2 * len(full)
         # The cliques cover every index and meet only in their common separator.
@@ -158,10 +158,9 @@ class TestBuild:
 
     def test_localizer_rows_cover_short_words(self):
         prob = build_fcb_sdp(Polynomial(2, {(1,): 1.0}), 2)
-        shifted, base = prob.localizers[0]
         short = [w for w in prob.words if len(w) <= 1]
-        assert list(base) == [prob.word_index[w] for w in short]
-        assert list(shifted) == [prob.word_index[(1,) + w] for w in short]
+        assert prob.base.tolist() == [prob.word_index[w] for w in short]
+        assert prob.shifted.tolist() == [[prob.word_index[(i,) + w] for w in short] for i in (1, 2, 3)]
 
     def test_capacity_guard_env(self, monkeypatch):
         monkeypatch.setenv("FCBLAB_MAX_DIM", "10")
@@ -295,14 +294,11 @@ class TestPinnedOptima:
         assert value == pytest.approx(sol.value, abs=1e-12)
         for members in enumerate_classes(p.n, 3).values():
             assert len({m[0, prob.word_index[w]] for w in members}) == 1
-        slack = min(
-            np.linalg.eigvalsh(m[np.ix_(base, base)] - m[np.ix_(shifted, shifted)])[0]
-            for shifted, base in prob.localizers
-        )
+        base = m[np.ix_(prob.base, prob.base)]
+        slack = min(np.linalg.eigvalsh(base - m[np.ix_(shifted, shifted)])[0] for shifted in prob.shifted)
         assert slack == pytest.approx(sol.localizer_min_eig_slack, abs=1e-12)
-        # The completion is no further from PSD than the least PSD clique block.
-        blocks = np.array([m[np.ix_(clique, clique)] for clique in prob.cliques])
-        assert np.linalg.eigvalsh(m)[0] >= min(0.0, np.linalg.eigvalsh(blocks).min()) - 1e-9
+        # The repaired clique blocks are PSD, and so is their completion.
+        assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
 
 class TestCertifiedInterval:
@@ -450,16 +446,29 @@ class TestExtractWitness:
         assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-4)
 
     def test_rank_deficient_optima_extract(self):
-        # Criterion-5-style d=2 instances; with eigen-directions below the
-        # solve tolerance kept, instances 11 and 13 were refused.
+        # Criterion-5-style d=2 instances with rank-deficient optima.  The
+        # reported moment is completed from repaired, PSD clique blocks, so its
+        # exact Gram factorization over every positive eigenvalue reproduces
+        # the relations and the value to rounding.
         rng = np.random.default_rng(2024)
         for k in range(20):
             p = random_poly(rng, 3 if k % 2 == 0 else 4, 2, 5)
             prob = build_fcb_sdp(p, 2)
             sol = solve_sdp(prob)
             w = extract_witness(sol, prob)
-            assert verify_bb(w, 1e-6)["pass"], k
-            assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-4), k
+            assert verify_bb(w, 1e-10)["pass"], k
+            assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-10), k
+
+    def test_small_word_directions_are_cut(self):
+        # Restriction x2 = -1 of a criterion-5 instance at generator seed 99.
+        # With numpy's default pseudo-inverse cut-off in place of PINV_RCOND,
+        # letter 2 of its map exceeded 1 by 1.05e-2 and was refused.
+        p = Polynomial(1, {(): 0.7893649314827461, (1,): -1.0553018806519403})
+        prob = build_fcb_sdp(p, 2)
+        sol = solve_sdp(prob)
+        w = extract_witness(sol, prob)
+        assert verify_bb(w, 1e-6)["pass"]
+        assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-6)
 
     def test_refuses_unconverged(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)

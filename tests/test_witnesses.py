@@ -6,6 +6,7 @@ import pytest
 
 from fcblab import (
     BlockMultilinearPolynomial,
+    CapacityError,
     Polynomial,
     bml_general_witness,
     bml_homogeneous_witness,
@@ -19,6 +20,7 @@ from fcblab import (
     statistics,
     verify_bb,
 )
+from fcblab import witnesses
 from fcblab.linalg import sigma_max
 
 from conftest import (
@@ -205,6 +207,31 @@ class TestBmlGeneralWitness:
             assert evaluate_bml_on_matrices(p, w.u, w.v, w.A) == pytest.approx(
                 target, abs=1e-9
             )
+
+
+class TestSizeGuard:
+    # The guard's closed-form basis size is the built one: letters x m^2 entries
+    # pass at a guard of exactly that many and fail one below it.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: homogeneous_fcb_witness(Polynomial(4, {(1, 2, 3): 0.6, (2, 3, 4): 0.8})),
+            lambda: bml_homogeneous_witness(
+                BlockMultilinearPolynomial(3, 3, {((1, 1), (2, 3), (3, 2)): 1.0}), 2
+            ),
+            lambda: bml_general_witness(
+                BlockMultilinearPolynomial(3, 4, {((1, 2), (3, 1)): 1.0, ((2, 3),): 0.5})
+            ),
+        ],
+        ids=["fcb", "bml-hom", "bml-gen"],
+    )
+    def test_guard_counts_the_built_entries(self, monkeypatch, build):
+        entries = build().witness.A.size
+        monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries)
+        build()
+        monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries - 1)
+        with pytest.raises(CapacityError, match="exceed the guard"):
+            build()
 
 
 class TestDegreeExtractionEmbed:
