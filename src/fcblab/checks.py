@@ -2,6 +2,10 @@
 
 Each suite emits rows (instance id, quantity, lhs, rhs, margin, pass) where
 pass means lhs <= rhs; equality targets are phrased as |difference| <= tol.
+An SDP row compares a certified end of fcb_interval with the opposite end or
+with an exact bound (lower(q) <= upper(p), sup <= upper, lower <= l1), so no
+row carries a slack; the ends are sound up to the rounding of the computed
+eigenvalues, for which no bound is proven yet.
 Every suite is deterministic given the seed and prepends fixed edge cases
 (zero polynomial, constant, single monomial) where they make sense, so
 `check all` covers the degenerate corpus.
@@ -19,28 +23,17 @@ from .behavior import verify_bb
 from .poly import (
     BlockMultilinearPolynomial,
     Polynomial,
-    degree_part,
     restrict,
     spectral_l1,
     statistics,
     sup_norm_bruteforce,
 )
-from .sdp import fcb_norm
-from .witnesses import bml_general_witness, bml_homogeneous_witness, homogeneous_fcb_witness
+from .sdp import fcb_interval, fcb_norm
+from .witnesses import homogeneous_fcb_witness
 
 DEFAULT_SEED = 20240101
-SDP_MARGIN = 1e-4
 CERT_TOL = 1e-9
 CONTRACTION_TOL = 1e-12
-SUITES = (
-    "monotonicity",
-    "restriction",
-    "sandwich",
-    "certificates",
-    "simulator",
-    "hierarchy",
-    "all",
-)
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ def suite_monotonicity(seed: int, trials: int = 6) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     cases = [("edge-zero", Polynomial(2, {})), ("edge-constant", Polynomial(2, {(): 0.7}))]
     cases += [(f"mono-{k:03d}", random_poly(rng, 2, 1, 3)) for k in range(trials)]
-    return [CheckRow(name, "fcb_monotone_d1_d2", fcb_norm(p, 2), fcb_norm(p, 1) + SDP_MARGIN) for name, p in cases]
+    return [CheckRow(name, "fcb_monotone_d1_d2", fcb_norm(p, 2), fcb_interval(p, 1)[1]) for name, p in cases]
 
 
 def suite_restriction(seed: int, trials: int = 5) -> list[CheckRow]:
@@ -101,13 +94,11 @@ def suite_restriction(seed: int, trials: int = 5) -> list[CheckRow]:
     rows = []
     for k in range(trials):
         p = random_poly(rng, 3, 2, 5)
-        base = fcb_norm(p, 2)
+        upper = fcb_interval(p, 2)[1]
         for i in range(1, 4):
             for y in (1, -1):
-                v = fcb_norm(restrict(p, i, y), 2)
-                rows.append(
-                    CheckRow(f"restr-{k:03d}-x{i}={y:+d}", "fcb_restriction", v, base + SDP_MARGIN)
-                )
+                lower = fcb_norm(restrict(p, i, y), 2)
+                rows.append(CheckRow(f"restr-{k:03d}-x{i}={y:+d}", "fcb_restriction", lower, upper))
     return rows
 
 
@@ -121,9 +112,9 @@ def suite_sandwich(seed: int, trials: int = 8) -> list[CheckRow]:
     ]
     cases = edges + [(f"sand-{k:03d}", random_poly(rng, 2, 2, 4)) for k in range(trials)]
     for name, p in cases:
-        v = fcb_norm(p, 2)
-        rows.append(CheckRow(name, "sup_le_fcb", sup_norm_bruteforce(p) - SDP_MARGIN, v))
-        rows.append(CheckRow(name, "fcb_le_l1", v, spectral_l1(p) + SDP_MARGIN))
+        lower, upper = fcb_interval(p, 2)
+        rows.append(CheckRow(name, "sup_le_fcb", sup_norm_bruteforce(p), upper))
+        rows.append(CheckRow(name, "fcb_le_l1", lower, spectral_l1(p)))
     return rows
 
 
@@ -148,12 +139,11 @@ def suite_simulator(seed: int, trials: int = 10) -> list[CheckRow]:
     rows = []
     par = qsim.parity_algorithm()
     p_par = qsim.extract_polynomial(par)
-    dev = max(
-        abs(p_par.coeffs.get((1, 2), 0.0) - 1.0),
-        max((abs(c) for s, c in p_par.coeffs.items() if s != (1, 2)), default=0.0),
-    )
-    rows.append(CheckRow("edge-parity", "parity_coefficients", dev, 1e-10))
-    rows.append(CheckRow("edge-parity", "parity_fcb_near_1", abs(fcb_norm(p_par, 2) - 1.0), 1e-3))
+    errors = [abs(p_par.coeffs.get((1, 2), 0.0) - 1.0)] + [abs(c) for s, c in p_par.coeffs.items() if s != (1, 2)]
+    rows.append(CheckRow("edge-parity", "parity_coefficients", max(errors), 1e-10))
+    # fcb(x1 x2) = 1, and |fcb(p) - fcb(x1 x2)| <= fcb(p - x1 x2) <= ||p - x1 x2||_1 = sum(errors).
+    lower, upper = fcb_interval(p_par, 2)
+    rows.append(CheckRow("edge-parity", "parity_fcb_near_1", max(lower - 1.0, 1.0 - upper), sum(errors)))
     for k in range(trials):
         alg = qsim.random_algorithm(2, 1, int(rng.integers(1, 3)), int(rng.integers(0, 2**31)))
         p = qsim.extract_polynomial(alg)
@@ -161,7 +151,7 @@ def suite_simulator(seed: int, trials: int = 10) -> list[CheckRow]:
         worst = max(abs(qsim.run(alg, x)) for x in itertools.product((1, -1), repeat=2))
         rows.append(CheckRow(f"sim-{k:03d}", "output_normalized", worst, 1.0 + 1e-9))
         if k < 3:
-            rows.append(CheckRow(f"sim-{k:03d}", "fcb_le_1", fcb_norm(p, 2), 1.0 + 1e-3))
+            rows.append(CheckRow(f"sim-{k:03d}", "fcb_le_1", fcb_norm(p, 2), 1.0))
     return rows
 
 
@@ -172,11 +162,11 @@ def suite_hierarchy(seed: int, trials: int = 1) -> list[CheckRow]:
     for k in range(trials):
         p = random_poly(rng, 3, 2, 5)
         sup = sup_norm_bruteforce(p)
-        values = {d: fcb_norm(p, d) for d in (2, 3)}
-        rows.append(CheckRow(f"hier-{k:03d}", "fcb_monotone_d2_d3", values[3], values[2] + SDP_MARGIN))
-        for d, v in values.items():
-            rows.append(CheckRow(f"hier-{k:03d}", f"sup_le_fcb_d{d}", sup - SDP_MARGIN, v))
-        gap = values[3] - sup
+        ends = {d: fcb_interval(p, d) for d in (2, 3)}
+        rows.append(CheckRow(f"hier-{k:03d}", "fcb_monotone_d2_d3", ends[3][0], ends[2][1]))
+        for d, (_, upper) in ends.items():
+            rows.append(CheckRow(f"hier-{k:03d}", f"sup_le_fcb_d{d}", sup, upper))
+        gap = ends[3][0] - sup
         rows.append(CheckRow(f"hier-{k:03d}", "gap_at_top_level_report", gap, gap))
     return rows
 
@@ -189,6 +179,7 @@ _SUITE_FUNCS = {
     "simulator": suite_simulator,
     "hierarchy": suite_hierarchy,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) -> list[CheckRow]:
@@ -196,7 +187,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int | None = None) ->
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    names = [s for s in SUITES if s != "all"] if name == "all" else [name]
+    names = list(_SUITE_FUNCS) if name == "all" else [name]
     rows: list[CheckRow] = []
     for suite in names:
         func = _SUITE_FUNCS[suite]

@@ -221,7 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "check",
         help="run a randomized property suite",
         description="CSV columns: instance,quantity,lhs,rhs,margin,pass "
-        "(pass means lhs <= rhs; margin = rhs - lhs). The hierarchy suite's "
+        "(pass means lhs <= rhs; margin = rhs - lhs). An SDP row compares a certified "
+        "end of the fcb interval with the opposite end or an exact bound, with no slack; "
+        "the ends are sound up to eigenvalue rounding. The hierarchy suite's "
         "gap_at_top_level_report row is informational and never fails.",
     )
     sp.add_argument("suite", nargs="?", choices=checks.SUITES)

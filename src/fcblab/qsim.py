@@ -150,8 +150,8 @@ def extract_polynomial(alg: QueryAlgorithm) -> Polynomial:
     return Polynomial(alg.n, kept)
 
 
-def check_characterization(alg: QueryAlgorithm, tol: float = 1e-3) -> dict:
-    """Extract the output polynomial and test degree <= 2d plus fcb norm <= 1."""
+def check_characterization(alg: QueryAlgorithm) -> dict:
+    """Extract the output polynomial and test degree <= 2d plus the certified lower end of fcb <= 1."""
     from .sdp import fcb_norm
 
     p = extract_polynomial(alg)
@@ -159,7 +159,7 @@ def check_characterization(alg: QueryAlgorithm, tol: float = 1e-3) -> dict:
     return {
         "degree_ok": p.degree <= 2 * alg.d,
         "fcb_value": value,
-        "fcb_ok": bool(value <= 1.0 + tol),
+        "fcb_ok": bool(value <= 1.0),
     }
 
 

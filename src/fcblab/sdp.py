@@ -81,7 +81,6 @@ embedding.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -93,8 +92,7 @@ from .behavior import Witness, Word, canonical_word, enumerate_classes
 from .errors import CapacityError, ConvergenceError, ExtractionError
 from .poly import Polynomial
 
-DEFAULT_MAX_DIM = 2000
-MAX_DIM_ENV = "FCBLAB_MAX_DIM"
+MAX_DIM = 2000  # the largest moment matrix build_fcb_sdp accepts
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200_000
@@ -142,16 +140,6 @@ class SdpSolution:
     history: list[tuple[int, float, float, float, float]]  # per check: iteration, primal, dual, rho, seconds
 
 
-def _max_dim() -> int:
-    raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
-
-
 def _all_words(n: int, d: int) -> list[Word]:
     words: list[Word] = []
     for length in range(d + 1):
@@ -166,15 +154,11 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     if p.degree > d:
         raise ValueError(f"degree {p.degree} exceeds d={d}")
     n = p.n
-    limit = _max_dim()
     dim = 1
     for s in range(d + 1):  # stops at the guard: (n+1)^d has no bound for a huge d
         dim += (n + 1) ** s
-        if dim > limit:
-            raise CapacityError(
-                f"the moment matrix at d={d} exceeds the guard of dimension {limit} "
-                f"(override with {MAX_DIM_ENV})"
-            )
+        if dim > MAX_DIM:
+            raise CapacityError(f"the moment matrix at d={d} exceeds the guard of dimension {MAX_DIM}")
 
     words = _all_words(n, d)
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
@@ -495,8 +479,13 @@ def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
     return moment
 
 
-def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> float:
-    """Fourier completely bounded d-norm of p via build + solve: the lower end of an interval of width <= tol."""
+def fcb_interval(
+    p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
+) -> tuple[float, float]:
+    """Ends lower <= ||p||_{fcb,d} <= upper of a certified interval of width <= tol, via build + solve.
+
+    Raises ConvergenceError when the solve stops short of the width.
+    """
     prob = build_fcb_sdp(p, d)
     sol = solve_sdp(prob, tol=tol, max_iters=max_iters)
     if not sol.converged:
@@ -512,7 +501,12 @@ def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = D
             f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e}); final rho {sol.rho:.2e}; "
             f"last checks: {checks}"
         )
-    return sol.value
+    return sol.lower, sol.upper
+
+
+def fcb_norm(p: Polynomial, d: int, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> float:
+    """Fourier completely bounded d-norm of p: the lower end of fcb_interval."""
+    return fcb_interval(p, d, tol, max_iters)[0]
 
 
 # Directions of the word vectors below PINV_RCOND times the largest singular

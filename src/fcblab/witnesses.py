@@ -37,6 +37,7 @@ HOMOGENEOUS_FCB = "homogeneous_fcb"
 BML_HOMOGENEOUS = "bml_homogeneous"
 BML_GENERAL = "bml_general"
 MAX_WITNESS_ENTRIES = 2**26  # entries of the matrix stack A, 512 MiB as float64
+MAX_WITNESS_LETTERS = 2**16  # matrices in the stack A, each indexed by a Python loop
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,13 @@ def contraction_check(a: np.ndarray, tol: float) -> dict:
 
 
 def _check_entries(letters: int, sizes) -> None:
-    """Raise CapacityError when `letters` matrices on a basis of sum(sizes) vectors pass MAX_WITNESS_ENTRIES.
+    """Raise CapacityError when `letters` matrices on a basis of sum(sizes) vectors pass a guard.
 
-    The sum stops at the guard, so a huge n or d is refused at once.
+    The guards are MAX_WITNESS_LETTERS matrices and MAX_WITNESS_ENTRIES
+    entries; the sum stops at the latter, so a huge n or d is refused at once.
     """
+    if letters > MAX_WITNESS_LETTERS:
+        raise CapacityError(f"{letters} matrices exceed the guard of {MAX_WITNESS_LETTERS} matrices")
     m = 0
     for size in sizes:
         m += size
@@ -268,8 +272,12 @@ def bml_general_witness(p: BlockMultilinearPolynomial) -> InfluenceCertificate:
     total_var = bml_variance(p)
     if total_var == 0.0:
         raise ValueError("zero-variance polynomial has no influence certificate")
-    part_vars = [bml_variance(degree_part(p, r)) for r in range(p.d + 1)]
-    D = max(range(1, p.d + 1), key=lambda r: (part_vars[r], -r))
+    part_vars: dict[int, float] = {}
+    for key, c in p.coeffs.items():
+        if key:
+            part_vars[len(key)] = part_vars.get(len(key), 0.0) + c * c
+    # An absent degree has variance 0, below the positive variance of some present one.
+    D = max(part_vars, key=lambda r: (part_vars[r], -r))
     pD = degree_part(p, D)
     d = p.d
     _check_entries(d * p.n, itertools.chain([1], (comb(d, r) * p.n**r for r in range(D))))

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from fcblab import sdp
 from fcblab.cli import main
 from fcblab.fileio import save_bml, save_polynomial
 from fcblab.poly import BlockMultilinearPolynomial, Polynomial, restrict, statistics
@@ -123,7 +125,7 @@ class TestFcb:
         assert report["gap"] > 1e-6
 
     def test_capacity_override(self, maj3_file, capsys, monkeypatch):
-        monkeypatch.setenv("FCBLAB_MAX_DIM", "5")
+        monkeypatch.setattr(sdp, "MAX_DIM", 5)
         assert main(["fcb", maj3_file, "--d", "3"]) == 2
         assert "exceeds the guard" in capsys.readouterr().err
 
@@ -190,6 +192,14 @@ class TestWitnessCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "108 matrices of dimension at least" in captured.err
+        # Ten million blocks of one variable: refused at once, not after a pass over every degree.
+        path.write_text(json.dumps({"n": 1, "d": 10_000_000, "coeffs": [{"pairs": [[1, 1]], "value": 1}]}))
+        start = time.perf_counter()
+        assert main(["witness", str(path), "--kind", kind]) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_float_index_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "b.json"

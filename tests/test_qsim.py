@@ -12,6 +12,7 @@ from fcblab import (
     parity_algorithm,
     random_algorithm,
     run,
+    sdp,
 )
 
 from conftest import all_points
@@ -149,3 +150,10 @@ class TestCharacterization:
         for seed in (0, 4):
             report = check_characterization(random_algorithm(2, 1, 1, seed))
             assert report["degree_ok"] and report["fcb_ok"], (seed, report)
+            assert report["fcb_ok"] == (report["fcb_value"] <= 1.0)
+
+    def test_lower_end_above_1_fails(self, monkeypatch):
+        monkeypatch.setattr(sdp, "fcb_norm", lambda p, d: 1.0005)
+        report = check_characterization(parity_algorithm())
+        assert report["fcb_value"] == 1.0005
+        assert not report["fcb_ok"]

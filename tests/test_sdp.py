@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,17 +12,19 @@ from fcblab import (
     Polynomial,
     bitstring_witness,
     canonical_word,
+    checks,
     enumerate_classes,
     evaluate_on_witness,
     fcb_norm,
     homogeneous_fcb_witness,
     restrict,
+    sdp,
     spectral_l1,
     statistics,
     sup_norm_bruteforce,
     verify_bb,
 )
-from fcblab.sdp import _Anderson, build_fcb_sdp, extract_witness, solve_sdp
+from fcblab.sdp import _Anderson, build_fcb_sdp, extract_witness, fcb_interval, solve_sdp
 from fcblab.errors import ExtractionError
 
 from conftest import all_points, maj3, random_poly
@@ -163,10 +166,10 @@ class TestBuild:
         assert prob.shifted.tolist() == [[prob.word_index[(i,) + w] for w in short] for i in (1, 2, 3)]
 
     def test_capacity_guard_env(self, monkeypatch):
-        monkeypatch.setenv("FCBLAB_MAX_DIM", "10")
+        monkeypatch.setattr(sdp, "MAX_DIM", 10)
         with pytest.raises(CapacityError):
             build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
-        monkeypatch.setenv("FCBLAB_MAX_DIM", "14")
+        monkeypatch.setattr(sdp, "MAX_DIM", 14)
         build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
 
 
@@ -277,6 +280,12 @@ class TestPinnedOptima:
         assert sol.lower - 1e-9 <= value <= sol.upper + 1e-9
         assert sol.upper - sol.lower <= 1e-6
         assert sol.value == sol.lower
+
+    def test_fcb_norm_is_the_lower_end_of_fcb_interval(self):
+        p, d, value = PINNED_OPTIMA[0]
+        lower, upper = fcb_interval(p, d)
+        assert fcb_norm(p, d) == lower
+        assert lower - 1e-9 <= value <= upper <= lower + 1e-6 + 1e-9
 
     def test_reported_moment_completes_the_clique_blocks(self):
         p = PANEL_N3
@@ -512,3 +521,21 @@ class TestCrossCheck:
         for _ in range(2):
             p = random_poly(rng, 2, 2, 4)
             assert fcb_norm(p, 2, tol=1e-7) == pytest.approx(reference(p, 2), abs=1e-4)
+
+
+class TestCheckRowsCompareCertifiedEnds:
+    def test_monotonicity_fails_when_the_d2_interval_is_raised(self, monkeypatch):
+        # fcb_{2} = fcb_{1} on these degree-1 instances, so lifting the d = 2
+        # interval by 5e-5 puts lower(d=2) above upper(d=1): with no slack in
+        # the row, the suite must report it.
+        real = sdp.solve_sdp
+
+        def raised(prob, *args, **kwargs):
+            sol = real(prob, *args, **kwargs)
+            if prob.d == 2:
+                sol = dataclasses.replace(sol, value=sol.value + 5e-5, lower=sol.lower + 5e-5, upper=sol.upper + 5e-5)
+            return sol
+
+        assert all(row.passed for row in checks.run_suite("monotonicity", trials=1))
+        monkeypatch.setattr(sdp, "solve_sdp", raised)
+        assert not all(row.passed for row in checks.run_suite("monotonicity", trials=1))
