@@ -122,7 +122,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    qsim._check_extractable(args.n, args.queries)  # before drawing (n+1)*w-dimensional unitaries
+    qsim._check_extractable(args.n, args.queries, args.workspace)  # before drawing (n+1)*w-dimensional unitaries
     alg = qsim.random_algorithm(args.n, args.queries, args.workspace, args.seed)
     p = qsim.extract_polynomial(alg)
     report: dict = {"degree": p.degree, "degree_bound": 2 * args.queries, "degree_ok": True}

@@ -203,11 +203,12 @@ def fourier_transform(values: Mapping[Sequence[int], float], n: int | None = Non
     if not seen.all():
         missing = int(size - seen.sum())
         raise ValueError(f"incomplete evaluation table: {missing} of {size} points missing")
-    coeff = _fwht(table) / size
-    out: dict[Subset, float] = {}
-    for mask in np.nonzero(coeff)[0]:
-        out[_mask_subset(int(mask), n)] = float(coeff[mask])
-    return Polynomial(n, out)
+    return _dense_polynomial(_fwht(table) / size, n)
+
+
+def _dense_polynomial(coeff: np.ndarray, n: int) -> Polynomial:
+    """The polynomial whose coefficient on the subset of mask k is coeff[k]; zeros are dropped."""
+    return Polynomial(n, {_mask_subset(int(k), n): float(coeff[k]) for k in np.nonzero(coeff)[0]})
 
 
 def evaluate(p: Polynomial, x: Sequence[int]) -> float:

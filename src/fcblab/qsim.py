@@ -6,18 +6,27 @@ and leaves the (n+1)-th branch untouched, which is the controlled-query
 convention behind the frozen variable.  The output on x is the expectation
 of a Hermitian observable with spectrum in [-1, 1] after
 U_d O_x ... U_1 O_x U_0 |0>, a multilinear polynomial of degree at most 2d.
+
+``run`` and ``extract_polynomial`` share one simulation, which takes a
+block of sign vectors at once: each step is a stack of matrix-vector
+products, one per point, and each expectation its own inner product, so a
+point's value is the same alone or in a block.  Extraction simulates all
+2^n points in blocks of ``SIMULATION_BLOCK`` and interpolates the table by
+a Walsh-Hadamard transform.  Before anything is drawn, the sizes are held to
+``MAX_STATE_DIM``, ``MAX_UNITARY_ENTRIES``, ``MAX_EXTRACT_VARS``,
+``MAX_STATE_APPLICATIONS`` and ``MAX_MULTIPLY_ADDS``, the last a bound on
+the work of one extraction, about (d+2) 2^n dim^2 complex multiply-adds.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ModelViolationError
-from .poly import Polynomial, fourier_transform
+from .poly import Polynomial, _dense_polynomial, _fwht, _mask_subset
 
 UNITARITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
@@ -27,6 +36,8 @@ MAX_STATE_DIM = 4096
 MAX_UNITARY_ENTRIES = 2**26  # entries of the d+2 drawn dim x dim matrices, 1 GiB as complex128
 MAX_EXTRACT_VARS = 14
 MAX_STATE_APPLICATIONS = 2**18  # unitaries applied to a state over all 2^n points of an extraction
+MAX_MULTIPLY_ADDS = 2**33  # about 9 s at the 1e9 a second measured at dim 2100 on one BLAS thread
+SIMULATION_BLOCK = 256  # points per stack of states: at most 256 * MAX_STATE_DIM entries, 16 MiB
 
 
 def _state_dim(n: int, d: int, w: int) -> int:
@@ -44,7 +55,7 @@ def _state_dim(n: int, d: int, w: int) -> int:
     return dim
 
 
-def _check_extractable(n: int, d: int) -> None:
+def _check_extractable(n: int, d: int, w: int) -> None:
     if n > MAX_EXTRACT_VARS:
         raise CapacityError(f"n={n} exceeds the interpolation guard ({MAX_EXTRACT_VARS})")
     applications = (d + 1) * 2**n
@@ -52,6 +63,13 @@ def _check_extractable(n: int, d: int) -> None:
         raise CapacityError(
             f"{d + 1} unitaries at each of 2^{n} points make {applications} state applications, "
             f"above {MAX_STATE_APPLICATIONS}"
+        )
+    dim = _state_dim(n, d, w)
+    multiply_adds = (d + 2) * 2**n * dim * dim
+    if multiply_adds > MAX_MULTIPLY_ADDS:
+        raise CapacityError(
+            f"{d + 2} products of dimension {dim} at each of 2^{n} points make {multiply_adds} "
+            f"multiply-adds, above {MAX_MULTIPLY_ADDS}"
         )
 
 
@@ -107,6 +125,26 @@ def random_algorithm(n: int, d: int, w: int, seed: int) -> QueryAlgorithm:
     return QueryAlgorithm(n=n, d=d, w=w, unitaries=unitaries, observable=observable)
 
 
+def _expectations(alg: QueryAlgorithm, signs: np.ndarray) -> np.ndarray:
+    """Expectation of the observable at each row of a (points, n) array of +-1 floats.
+
+    Every product is a stack of matrix-vector products, one per point, and
+    every expectation its own inner product, so a value does not depend on
+    the other rows of the block.
+    """
+    phases = np.repeat(np.hstack([signs, np.ones((len(signs), 1))]), alg.w, axis=1)[:, :, None]
+    start = np.zeros(alg.dim, dtype=complex)
+    start[0] = 1.0
+    states = np.broadcast_to((alg.unitaries[0] @ start)[:, None], phases.shape)
+    for t in range(1, alg.d + 1):
+        states = alg.unitaries[t] @ (phases * states)
+    values = (np.swapaxes(states.conj(), 1, 2) @ (alg.observable @ states)).reshape(-1)
+    worst = values.imag[np.argmax(np.abs(values.imag))]
+    if abs(worst) > IMAG_TOL:
+        raise ModelViolationError(f"expectation has imaginary part {worst:.2e}")
+    return values.real
+
+
 def run(alg: QueryAlgorithm, x: Sequence[int]) -> float:
     """Expectation of the observable on input x."""
     if len(x) != alg.n:
@@ -114,16 +152,7 @@ def run(alg: QueryAlgorithm, x: Sequence[int]) -> float:
     sx = [float(v) for v in x]
     if any(v not in (-1.0, 1.0) for v in sx):
         raise ValueError("input entries must be -1 or +1")
-    phases = np.repeat(np.array(sx + [1.0]), alg.w)
-    state = np.zeros(alg.dim, dtype=complex)
-    state[0] = 1.0
-    state = alg.unitaries[0] @ state
-    for t in range(1, alg.d + 1):
-        state = alg.unitaries[t] @ (phases * state)
-    value = np.vdot(state, alg.observable @ state)
-    if abs(value.imag) > IMAG_TOL:
-        raise ModelViolationError(f"expectation has imaginary part {value.imag:.2e}")
-    return float(value.real)
+    return float(_expectations(alg, np.array([sx]))[0])
 
 
 def extract_polynomial(alg: QueryAlgorithm) -> Polynomial:
@@ -132,22 +161,22 @@ def extract_polynomial(alg: QueryAlgorithm) -> Polynomial:
     Coefficients beyond degree 2d above DEGREE_COEFF_TOL indicate a broken
     model and raise; below it they are hard-zeroed.
     """
-    _check_extractable(alg.n, alg.d)
-    values = {
-        x: run(alg, x) for x in itertools.product((1, -1), repeat=alg.n)
-    }
-    p = fourier_transform(values, alg.n)
+    _check_extractable(alg.n, alg.d, alg.w)
+    masks = np.arange(1 << alg.n)
+    bits = (masks[:, None] >> np.arange(alg.n)) & 1  # bit j set  <=>  x(j+1) = -1
+    blocks = range(0, len(masks), SIMULATION_BLOCK)
+    table = np.concatenate([_expectations(alg, 1.0 - 2.0 * bits[k : k + SIMULATION_BLOCK]) for k in blocks])
+    coeff = _fwht(table) / len(masks)
     bound = 2 * alg.d
-    kept = {}
-    for s, c in p.coeffs.items():
-        if len(s) > bound:
-            if abs(c) > DEGREE_COEFF_TOL:
-                raise ModelViolationError(
-                    f"coefficient {c:.3e} on {s} violates the degree-{bound} bound"
-                )
-        else:
-            kept[s] = c
-    return Polynomial(alg.n, kept)
+    high = bits.sum(axis=1) > bound
+    violations = np.nonzero(high & (np.abs(coeff) > DEGREE_COEFF_TOL))[0]
+    if violations.size:
+        k = violations[0]
+        raise ModelViolationError(
+            f"coefficient {coeff[k]:.3e} on {_mask_subset(int(k), alg.n)} violates the degree-{bound} bound"
+        )
+    coeff[high] = 0.0
+    return _dense_polynomial(coeff, alg.n)
 
 
 def check_characterization(alg: QueryAlgorithm) -> dict:

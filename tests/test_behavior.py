@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcblab import (
     CapacityError,
@@ -21,6 +23,7 @@ from fcblab import (
     verify_bb,
     word_class,
 )
+from fcblab.behavior import _class_firsts
 from fcblab.poly import BlockMultilinearPolynomial
 
 from conftest import all_points, maj3, random_poly
@@ -103,6 +106,50 @@ class TestEnumerateClasses:
             assert len({profile(w) for w in reps}) == len(reps)
 
 
+def first_ranks(n: int, d: int) -> list[int]:
+    """Reference class index: the rank of the first word with the same word_class."""
+    first: dict = {}
+    return [
+        first.setdefault(word_class(w, n), rank)
+        for rank, w in enumerate(itertools.product(range(1, n + 2), repeat=d))
+    ]
+
+
+def word_rank(word, n: int) -> int:
+    return sum((letter - 1) * (n + 1) ** (len(word) - 1 - k) for k, letter in enumerate(word))
+
+
+class TestClassFirsts:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 8), d=st.integers(0, 5))
+    def test_first_word_of_the_same_class(self, n, d):
+        assert _class_firsts(n, d).tolist() == first_ranks(n, d)
+
+    def test_codes_above_62_bits(self):
+        firsts = _class_firsts(70, 2)
+        assert firsts.tolist() == first_ranks(70, 2)
+        assert firsts[word_rank((70, 70), 70)] == 0
+        assert firsts[word_rank((71, 69), 70)] == word_rank((69, 71), 70)
+
+    @pytest.mark.parametrize(
+        "n, word, first",
+        [
+            # cancelled pairs that are not the last two letters
+            (3, (1, 1, 2), (1, 1, 2)),
+            (3, (2, 3, 3), (1, 1, 2)),
+            (3, (3, 2, 3), (1, 1, 2)),
+            # runs of three and four equal letters
+            (3, (2, 2, 2), (1, 1, 2)),
+            (3, (4, 4, 4), (1, 1, 4)),
+            (2, (2, 2, 2, 2), (1, 1, 1, 1)),
+            (2, (2, 2, 2, 1), (1, 1, 1, 2)),
+        ],
+    )
+    def test_cancelled_pairs_and_runs(self, n, word, first):
+        assert word_class(word, n) == word_class(first, n)
+        assert _class_firsts(n, len(word))[word_rank(word, n)] == word_rank(first, n)
+
+
 class TestVerifyBb:
     def test_bitstring_example(self):
         w = bitstring_witness((-1, 1), 2)
@@ -127,6 +174,29 @@ class TestVerifyBb:
         report = verify_bb(w, 1e-9)
         assert not report["pass"]
         assert report["max_contraction_excess"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "seed, n, d, m, expected",
+        [
+            (0, 2, 2, 2, (0.5211480459121912, 0.0, 2.220446049250313e-16)),
+            (1, 3, 3, 3, (0.46682232112962246, 0.728003248935601, 1.1102230246251565e-16)),
+            (2, 5, 4, 2, (1.0890308578019459, 0.2617761179460989, 1.1102230246251565e-16)),
+        ],
+    )
+    def test_pinned_reports(self, seed, n, d, m, expected):
+        # Pinned from a per-word loop that compared each word with its class's first word.
+        rng = np.random.default_rng(seed)
+        a = 0.5 * rng.standard_normal((n + 1, m, m))
+        u = rng.standard_normal(m)
+        v = rng.standard_normal(m)
+        report = verify_bb(Witness(d=d, u=u / np.linalg.norm(u), v=v / np.linalg.norm(v), A=a), 1e-9)
+        violation, excess, unit = expected
+        assert report == {
+            "max_relation_violation": violation,
+            "max_contraction_excess": excess,
+            "unit_norm_error": unit,
+            "pass": False,
+        }
 
     def test_relation_violation_detected(self):
         # A(1) not commuting with itself across the class of () at d=2

@@ -251,6 +251,8 @@ class TestSimulate:
             (["--n", "2000", "--queries", "3"], "interpolation guard"),
             (["--n", "100000", "--queries", "1"], "interpolation guard"),
             (["--n", "10", "--queries", "1", "--workspace", "1000"], "state dimension 11000"),
+            # 2 products of dimension 2200 at 1024 points; it ran 27 s before this guard.
+            (["--n", "10", "--queries", "0", "--workspace", "200"], "9912320000 multiply-adds"),
         ],
     )
     def test_oversized_run_fails_before_drawing(self, no_unitary_draws, capsys, sizes, guard):

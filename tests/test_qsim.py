@@ -10,12 +10,25 @@ from fcblab import (
     check_characterization,
     extract_polynomial,
     parity_algorithm,
+    qsim,
     random_algorithm,
     run,
     sdp,
 )
 
 from conftest import all_points
+
+
+def reference_run(alg, x):
+    """The per-point simulation: one matrix-vector product per step and one inner product."""
+    phases = np.repeat(np.array([float(v) for v in x] + [1.0]), alg.w)
+    state = np.zeros(alg.dim, dtype=complex)
+    state[0] = 1.0
+    state = alg.unitaries[0] @ state
+    for t in range(1, alg.d + 1):
+        state = alg.unitaries[t] @ (phases * state)
+    return np.vdot(state, alg.observable @ state).real
+
 
 GOLDEN_SEED7 = {
     (): -1.0000000000000002,
@@ -93,6 +106,25 @@ class TestRun:
             for x in all_points(4):
                 assert abs(run(alg, x)) <= 1.0 + 1e-9
 
+    def test_batched_values_match_per_point_runs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            n = int(rng.integers(1, 7))
+            d, w = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            alg = random_algorithm(n, d, w, int(rng.integers(0, 2**31)))
+            points = list(all_points(n))
+            batched = qsim._expectations(alg, np.array(points, dtype=float))
+            for x, value in zip(points, batched):
+                assert run(alg, x) == value == reference_run(alg, x)
+
+    def test_non_hermitian_observable_raises(self):
+        alg = random_algorithm(3, 1, 1, 2)
+        object.__setattr__(alg, "observable", alg.observable + 0.5j * np.eye(alg.dim))
+        with pytest.raises(ModelViolationError, match="imaginary part"):
+            run(alg, (1, -1, 1))
+        with pytest.raises(ModelViolationError, match="imaginary part"):
+            extract_polynomial(alg)
+
     def test_input_validation(self):
         alg = random_algorithm(2, 1, 1, 0)
         with pytest.raises(ValueError):
@@ -116,6 +148,12 @@ class TestExtractPolynomial:
         alg = random_algorithm(14, 16, 1, 0)
         with pytest.raises(CapacityError, match="278528 state applications"):
             extract_polynomial(alg)
+
+    def test_degree_violation_names_the_subset(self, monkeypatch):
+        monkeypatch.setattr(qsim, "_expectations", lambda alg, signs: np.prod(signs[:, :3], axis=1))
+        message = r"coefficient 1\.000e\+00 on \(1, 2, 3\) violates the degree-2 bound"
+        with pytest.raises(ModelViolationError, match=message):
+            extract_polynomial(random_algorithm(4, 1, 1, 0))
 
     def test_identity_observable_constant_one(self):
         base = random_algorithm(2, 1, 1, 3)
