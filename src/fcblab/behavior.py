@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import sigma_max
-from .poly import BlockMultilinearPolynomial, Polynomial, Subset
+from .poly import BlockMultilinearPolynomial, Polynomial, Subset, _sign_vector
 
 Word = tuple[int, ...]
 
@@ -116,19 +116,38 @@ class Witness:
 
 def bitstring_witness(x: Sequence[int], d: int) -> Witness:
     """Scalar witness for a sign vector: m=1, u=v=1, A(i)=x(i), A(n+1)=1."""
-    sx = [float(v) for v in x]
-    if any(v not in (-1.0, 1.0) for v in sx):
-        raise ValueError("entries must be -1 or +1")
-    a = np.array([[[v]] for v in sx + [1.0]])
+    a = np.array([[[v]] for v in _sign_vector(x, len(x)) + (1.0,)])
     return Witness(d=d, u=np.ones(1), v=np.ones(1), A=a)
 
 
-def _chain_apply(A: np.ndarray, word: Sequence[int], vec: np.ndarray) -> np.ndarray:
-    # A(w_1)...A(w_s) v, applied right to left
-    out = vec
-    for letter in reversed(word):
-        out = A[letter - 1] @ out
-    return out
+def _chain_values(u: np.ndarray, v: np.ndarray, mats: np.ndarray, words: Sequence[Word]) -> list[float]:
+    """<u, mats[w_1]...mats[w_k] v> for each word of 0-based letters, in the order given.
+
+    The words are taken in the order of their reversals, so all words with a
+    common suffix are adjacent.  ``chain[k]`` is the product of the previous
+    word's last k letters applied to v; each word cuts the chain back to the
+    suffix it shares with that word and applies only its new letters.  So each
+    distinct suffix is computed once, by the same ``mats[letter] @ vec``
+    products as a chain of its own, and at most (longest word + 1) vectors
+    are kept.
+    """
+    mats = list(mats)  # list lookups beat indexing a stack in the loop
+    values = [0.0] * len(words)
+    chain = [v]
+    prev: Word = ()
+    for j in sorted(range(len(words)), key=lambda j: words[j][::-1]):
+        word = words[j]
+        shared = 0
+        for a, b in zip(reversed(word), reversed(prev)):
+            if a != b:
+                break
+            shared += 1
+        del chain[shared + 1 :]
+        for letter in reversed(word[: len(word) - shared]):
+            chain.append(mats[letter] @ chain[-1])
+        values[j] = float(u @ chain[-1])
+        prev = word
+    return values
 
 
 def chain_value(w: Witness, word: Sequence[int]) -> float:
@@ -136,7 +155,7 @@ def chain_value(w: Witness, word: Sequence[int]) -> float:
     for letter in word:
         if not (1 <= letter <= w.n + 1):
             raise IndexError(f"letter {letter} out of range for n={w.n}")
-    return float(w.u @ _chain_apply(w.A, word, w.v))
+    return _chain_values(w.u, w.v, w.A, [tuple(letter - 1 for letter in word)])[0]
 
 
 def verify_bb(w: Witness, tol: float) -> dict:
@@ -184,10 +203,10 @@ def evaluate_on_witness(p: Polynomial, w: Witness) -> float:
         raise ValueError(f"polynomial has n={p.n} but witness has n={w.n}")
     if p.degree > w.d:
         raise ValueError(f"degree {p.degree} exceeds witness degree {w.d}")
+    words = [tuple(letter - 1 for letter in canonical_word(s, w.d, w.n)) for s in p.coeffs]
     total = 0.0
-    for s, c in p.coeffs.items():
-        word = canonical_word(s, w.d, w.n)
-        total += c * float(w.u @ _chain_apply(w.A, word, w.v))
+    for c, value in zip(p.coeffs.values(), _chain_values(w.u, w.v, w.A, words)):
+        total += c * value
     return total
 
 
@@ -208,11 +227,8 @@ def evaluate_bml_on_matrices(
         raise ValueError("u and v must have the same dimension")
     if A.shape != (p.d, p.n, m, m):
         raise ValueError(f"expected a matrix stack of shape {(p.d, p.n, m, m)}, got {A.shape}")
-    mats = [list(block) for block in A]  # list lookups beat indexing A in the loop
+    words = [tuple((b - 1) * p.n + i - 1 for b, i in key) for key in p.coeffs]
     total = 0.0
-    for key, c in p.coeffs.items():
-        vec = v
-        for b, i in reversed(key):
-            vec = mats[b - 1][i - 1] @ vec
-        total += c * float(u @ vec)
+    for c, value in zip(p.coeffs.values(), _chain_values(u, v, A.reshape(-1, m, m), words)):
+        total += c * value
     return total

@@ -75,14 +75,15 @@ def _cmd_fcb(args) -> int:
     p = fileio.load_polynomial(args.input)
     prob = build_fcb_sdp(p, args.d)
     sol = solve_sdp(prob, tol=args.tol, max_iters=args.max_iters)
+    _, primal, dual, _, _ = sol.history[-1]  # the last iteration is always a check
     _emit(
         {
             "value": sol.value,
             "lower": sol.lower,
             "upper": sol.upper,
             "gap": sol.upper - sol.lower,
-            "primal_residual": sol.primal_residual,
-            "dual_residual": sol.dual_residual,
+            "primal_residual": primal,
+            "dual_residual": dual,
             "localizer_min_eig_slack": sol.localizer_min_eig_slack,
             "iterations": sol.iterations,
             "converged": sol.converged,

@@ -12,8 +12,9 @@ Certificate:     witness fields plus {"kind", "certified_value",
 Subsets must be sorted ascending and blocks strictly increasing; duplicates
 are rejected.  Sizes and indices must be JSON integers; coefficient and
 certificate values and every entry of u, v and the matrices must be JSON
-numbers.  Booleans, strings and floats in an integer field (even 2.0) are
-rejected rather than coerced.
+numbers, and the entries of u, v and the matrices must also be finite.
+Booleans, strings and floats in an integer field (even 2.0) are rejected
+rather than coerced.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ def _array(value, what: str, path) -> np.ndarray:
         if isinstance(entry, list):  # a ragged list leaves lists where numbers belong
             raise ParseError(f"{path}: {what} is not a rectangular array")
         _number(entry, f"an entry of {what}", path)
-    return entries.astype(float)
+    array = entries.astype(float)
+    if not np.isfinite(array).all():  # Python's json reads NaN and Infinity
+        raise ParseError(f"{path}: {what} has an entry that is not finite")
+    return array
 
 
 def _entries(data: dict, key: str, path) -> list[tuple[list, float]]:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ModelViolationError
-from .poly import Polynomial, _dense_polynomial, _fwht, _mask_subset
+from .poly import Polynomial, _dense_polynomial, _fwht, _mask_subset, _sign_vector
 
 UNITARITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
@@ -147,12 +147,7 @@ def _expectations(alg: QueryAlgorithm, signs: np.ndarray) -> np.ndarray:
 
 def run(alg: QueryAlgorithm, x: Sequence[int]) -> float:
     """Expectation of the observable on input x."""
-    if len(x) != alg.n:
-        raise ValueError(f"input has length {len(x)}, expected {alg.n}")
-    sx = [float(v) for v in x]
-    if any(v not in (-1.0, 1.0) for v in sx):
-        raise ValueError("input entries must be -1 or +1")
-    return float(_expectations(alg, np.array([sx]))[0])
+    return float(_expectations(alg, np.array([_sign_vector(x, alg.n)]))[0])
 
 
 def extract_polynomial(alg: QueryAlgorithm) -> Polynomial:

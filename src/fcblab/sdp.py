@@ -130,8 +130,6 @@ class SdpSolution:
     lower: float  # the ends of an interval that holds the optimum (sound up to eigenvalue rounding)
     upper: float
     moment: np.ndarray  # the repaired clique blocks, completed through the separator
-    primal_residual: float
-    dual_residual: float
     localizer_min_eig_slack: float
     iterations: int
     converged: bool
@@ -390,7 +388,6 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     v = np.zeros(F.shape[0])
     z = project_blocks(v)
     accel = _Anderson(v.size)
-    primal_res = dual_res = np.inf
     iterations = penalty_changes = 0
     converged = False
     history: list[tuple[int, float, float, float, float]] = []
@@ -442,8 +439,6 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         lower=lower,
         upper=upper,
         moment=_complete(prob, x.reshape(n_cliques, k, k)),
-        primal_residual=primal_res,
-        dual_residual=dual_res,
         localizer_min_eig_slack=min_slack,
         iterations=iterations,
         converged=converged,
@@ -496,9 +491,10 @@ def fcb_interval(
             f"iteration {it}: primal {primal:.2e}, dual {dual:.2e}, rho {rho:.2e}, {seconds:.3f} s"
             for it, primal, dual, rho, seconds in sol.history[-3:]
         )
+        _, primal, dual, _, _ = sol.history[-1]
         raise ConvergenceError(
             f"SDP did not reach tol={tol} in {sol.iterations} iterations: {gap} "
-            f"(primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e}); final rho {sol.rho:.2e}; "
+            f"(primal {primal:.2e}, dual {dual:.2e}); final rho {sol.rho:.2e}; "
             f"last checks: {checks}"
         )
     return sol.lower, sol.upper

@@ -158,33 +158,17 @@ def homogeneous_fcb_witness(p: Polynomial) -> InfluenceCertificate:
     )
 
 
-def _suffix_sets(n: int, d: int, s: int) -> list[tuple[tuple[int, int], ...]]:
-    # {(r,i_r),..,(d,i_d)} for r in s+1..d: contiguous trailing blocks
-    out = []
-    for r in range(s + 1, d + 1):
-        for idx in itertools.product(range(1, n + 1), repeat=d - r + 1):
-            out.append(tuple((r + k, idx[k]) for k in range(d - r + 1)))
-    return sorted(out)
-
-
-def _prefix_sets(n: int, s: int) -> list[tuple[tuple[int, int], ...]]:
-    # {(1,i_1),..,(r,i_r)} for r <= s-1: contiguous leading blocks
-    out = []
-    for r in range(1, s):
-        for idx in itertools.product(range(1, n + 1), repeat=r):
-            out.append(tuple((k + 1, idx[k]) for k in range(r)))
-    return sorted(out)
-
-
 def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceCertificate:
     """Creation/annihilation tuple realizing sum_i sqrt(Inf_{s,i}) for homogeneous p.
 
-    The same matrices are substituted into every block.  Applications for
-    blocks d..s+1 build suffix sets, the block-s application jumps to a
-    superposition of prefix sets weighted by p_hat/sqrt(Inf_{s,i}), and
-    blocks s-1..1 annihilate.  The certified value is sum_i sqrt(Inf_{s,i})
-    for the chosen block s, so it depends on s; the implied bound Var[p]^2
-    does not.
+    The same matrices are substituted into every block, and the basis is
+    keyed by index tuples: e_t for the indices t of a trailing run of blocks
+    d-len(t)+1..d with len(t) <= d-s, and f_q for the indices q of a leading
+    run of blocks 1..len(q) with len(q) <= s-1.  Applications for blocks
+    d..s+1 grow t, the block-s application jumps to a superposition of the
+    f_q weighted by p_hat/sqrt(Inf_{s,i}), and blocks s-1..1 annihilate.  The
+    certified value is sum_i sqrt(Inf_{s,i}) for the chosen block s, so it
+    depends on s; the implied bound Var[p]^2 does not.
     """
     d = p.d
     if not p.is_homogeneous() or p.degree != d or not p.coeffs:
@@ -192,52 +176,47 @@ def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceC
     if not (1 <= s <= d):
         raise IndexError(f"block {s} out of range for d={d}")
     n = p.n
-    # {e_()} + suffix sets of sizes 1..d-s, {f_()} + prefix sets of sizes 1..s-1
+    # {e_()} + suffixes of lengths 1..d-s, {f_()} + prefixes of lengths 1..s-1
     _check_entries(
         d * n, itertools.chain([2], (n**r for r in range(1, d - s + 1)), (n**r for r in range(1, s)))
     )
     inf_s = bml_influences(p)[s - 1]
+    coeffs = {tuple(i for _, i in key): c for key, c in p.coeffs.items()}  # every key spans blocks 1..d
 
-    e_sets = _suffix_sets(n, d, s)
-    f_sets = _prefix_sets(n, s)
-    e_index = {sett: 1 + k for k, sett in enumerate(e_sets)}
-    e_index[()] = 0
-    f_base = 1 + len(e_sets)
-    f_index = {sett: f_base + 1 + k for k, sett in enumerate(f_sets)}
-    f_index[()] = f_base
-    m = 2 + len(e_sets) + len(f_sets)
+    def tuples(lengths):
+        return [t for r in lengths for t in itertools.product(range(1, n + 1), repeat=r)]
+
+    # e_() first, then the suffixes from longest to shortest; the f_q follow in lexicographic order.
+    e = {t: k for k, t in enumerate([()] + tuples(range(d - s, 0, -1)))}
+    f = {q: len(e) + k for k, q in enumerate(sorted(tuples(range(s))))}
+    m = len(e) + len(f)
+    prefixes = tuples([s - 1])
 
     A = np.zeros((n, m, m))
-    for sett, col in e_index.items():
-        size = len(sett)
-        if size <= d - s - 1:
-            # creation: append the next-lower block
+    for t, col in e.items():
+        if len(t) < d - s:
+            # creation: prepend the index of the next-lower block
             for i in range(1, n + 1):
-                grown = tuple(sorted(sett + ((d - size, i),)))
-                A[i - 1, e_index[grown], col] = 1.0
-        elif size == d - s:
+                A[i - 1, e[(i,) + t], col] = 1.0
+        else:
             # jump across block s, weighted by the coefficients
             for i in range(1, n + 1):
                 if inf_s[i - 1] == 0.0:
                     continue
                 root = sqrt(inf_s[i - 1])
-                for prefix in [()] + f_sets:
-                    if len(prefix) != s - 1:
-                        continue
-                    key = tuple(sorted(prefix + sett + ((s, i),)))
-                    c = p.coeffs.get(key, 0.0)
+                for q in prefixes:
+                    c = coeffs.get(q + (i,) + t, 0.0)
                     if c != 0.0:
-                        A[i - 1, f_index[prefix], col] = c / root
-    for sett, col in f_index.items():
-        # annihilation: remove the highest block if the index matches
-        if sett:
-            top_block, top_i = sett[-1]
-            A[top_i - 1, f_index[sett[:-1]], col] = 1.0
+                        A[i - 1, f[q], col] = c / root
+    for q, col in f.items():
+        # annihilation: remove the index of the highest block
+        if q:
+            A[q[-1] - 1, f[q[:-1]], col] = 1.0
 
     u = np.zeros(m)
-    u[f_index[()]] = 1.0
+    u[f[()]] = 1.0
     v = np.zeros(m)
-    v[e_index[()]] = 1.0
+    v[e[()]] = 1.0
     tuple_A = np.broadcast_to(A, (d, n, m, m)).copy()
     witness = BmlWitness(u=u, v=v, A=tuple_A)
     value = evaluate_bml_on_matrices(p, u, v, witness.A)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fcblab import (
     degree_part,
     Witness,
     bitstring_witness,
+    bml_homogeneous_witness,
     canonical_word,
     chain_value,
     enumerate_classes,
@@ -23,7 +25,7 @@ from fcblab import (
     verify_bb,
     word_class,
 )
-from fcblab.behavior import _class_firsts
+from fcblab.behavior import _chain_values, _class_firsts
 from fcblab.poly import BlockMultilinearPolynomial
 
 from conftest import all_points, maj3, random_poly
@@ -276,3 +278,82 @@ class TestEvaluateBmlOnMatrices:
         p = BlockMultilinearPolynomial(2, 2, {((1, 1), (2, 2)): 1.0})
         with pytest.raises(ValueError, match=re.escape("(2, 2, 3, 3)")):
             evaluate_bml_on_matrices(p, np.ones(3), np.ones(3), np.zeros((2, 1, 3, 3)))
+
+    def test_keeps_no_suffix_cache(self, rng):
+        # (n, d, s) = (4, 7, 4): 16,384 coefficients on m = 170.  A cache of every
+        # distinct suffix would peak at several times the 6.5 MB witness.
+        indices = itertools.product(range(1, 5), repeat=7)
+        p = BlockMultilinearPolynomial(4, 7, {tuple(zip(range(1, 8), idx)): float(rng.standard_normal()) for idx in indices})
+        w = bml_homogeneous_witness(p, 4).witness
+        tracemalloc.start()
+        try:
+            evaluate_bml_on_matrices(p, w.u, w.v, w.A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.A.nbytes
+
+
+def chain_reference(A, word, vec):
+    """A(w_1)...A(w_s) vec for 1-based letters, one chain per word, applied right to left."""
+    out = vec
+    for letter in reversed(word):
+        out = A[letter - 1] @ out
+    return out
+
+
+class TestChainEvaluator:
+    """Every evaluator equals a chain of its own per word, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_word_lists(self, data, n, m, seed):
+        # Repeated suffixes, duplicate words and the empty word all occur over n <= 3.
+        words = data.draw(st.lists(st.lists(st.integers(0, n), max_size=5).map(tuple), max_size=12))
+        rng = np.random.default_rng(seed)
+        u, v, a = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal((n + 1, m, m))
+        expected = [float(u @ chain_reference(a, [x + 1 for x in word], v)) for word in words]
+        assert _chain_values(u, v, a, words) == expected
+        w = Witness(d=0, u=u, v=v, A=a)
+        assert [chain_value(w, [x + 1 for x in word]) for word in words] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(), n=st.integers(1, 3), m=st.integers(1, 4), d=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluate_on_witness(self, data, n, m, d, seed):
+        subsets = [s for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(subsets), max_size=len(subsets)))
+        rng = np.random.default_rng(seed)
+        p = Polynomial(n, {s: float(rng.standard_normal()) for s, k in zip(subsets, keep) if k})
+        w = Witness(d=d, u=rng.standard_normal(m), v=rng.standard_normal(m), A=rng.standard_normal((n + 1, m, m)))
+        total = 0.0
+        for s, c in p.coeffs.items():
+            total += c * float(w.u @ chain_reference(w.A, canonical_word(s, d, n), w.v))
+        assert evaluate_on_witness(p, w) == total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(), n=st.integers(1, 3), m=st.integers(1, 4), d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluate_bml_on_matrices(self, data, n, m, d, seed):
+        # Mixed degrees with a constant term, and the zero polynomial when nothing is kept.
+        keys = [
+            tuple(zip(blocks, idx))
+            for r in range(d + 1)
+            for blocks in itertools.combinations(range(1, d + 1), r)
+            for idx in itertools.product(range(1, n + 1), repeat=r)
+        ]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        rng = np.random.default_rng(seed)
+        p = BlockMultilinearPolynomial(n, d, {key: float(rng.standard_normal()) for key, k in zip(keys, keep) if k})
+        u, v, a = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal((d, n, m, m))
+        total = 0.0
+        for key, c in p.coeffs.items():
+            vec = v
+            for b, i in reversed(key):
+                vec = a[b - 1, i - 1] @ vec
+            total += c * float(u @ vec)
+        assert evaluate_bml_on_matrices(p, u, v, a) == total

@@ -169,6 +169,20 @@ class TestWitnessFormat:
         with pytest.raises(ParseError, match=message):
             load_witness(path)
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["u", "v", "A"])
+    def test_non_finite_entries(self, tmp_path, field, entry):
+        # json reads NaN and Infinity; a NaN in A once reached the SVD of verify_bb
+        path = tmp_path / "w.json"
+        data = {"m": 1, "d": 1, "u": [1.0], "v": [1.0], "A": [[[1.0]], [[1.0]]]}
+        entries = data[field]
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[0] = entry
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"{field} has an entry that is not finite"):
+            load_witness(path)
+
 
 class TestCertificateFormat:
     def test_fcb_round_trip(self, tmp_path):
@@ -220,4 +234,14 @@ class TestCertificateFormat:
         entries[0] = False
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match=f"an entry of {field} must be a number, got false"):
+            load_certificate(path)
+
+    def test_bml_non_finite_entry(self, tmp_path):
+        p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})
+        path = tmp_path / "c.json"
+        save_certificate(bml_general_witness(p), path)
+        data = json.loads(path.read_text())
+        data["A_blocks"][0][0][0][0] = float("nan")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="A_blocks has an entry that is not finite"):
             load_certificate(path)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -76,6 +77,26 @@ class TestHomogeneousFcbWitness:
                 assert contraction_check(cert.witness.A[i], 1e-12)["pass"]
 
 
+BML_HOMOGENEOUS_DIGESTS = {
+    (1, 1): "0ed0c292cc2d85c7",
+    (1, 2): "dda4445936228d7e",
+    (1, 3): "65873e8ca886ecac",
+    (1, 4): "b274878c09b73369",
+    (2, 1): "b45cfc505a0b3114",
+    (2, 2): "075c1e8262ea02f2",
+    (2, 3): "900e3d24ed4e388c",
+    (2, 4): "88b6877a0e1014b6",
+    (3, 1): "65e520997ea35cd3",
+    (3, 2): "2ee250a7ff125774",
+    (3, 3): "0d7cee36d844ceea",
+    (3, 4): "1debef3002d442f8",
+    (4, 1): "d663e4e04bbd1005",
+    (4, 2): "e53dcea4e3b938d2",
+    (4, 3): "5f84c30499f266c8",
+    (4, 4): "ddd3bae775050dc1",
+}
+
+
 class TestBmlHomogeneousWitness:
     def test_optimal_instance_every_s(self):
         for d in (1, 2, 3, 4):
@@ -134,6 +155,25 @@ class TestBmlHomogeneousWitness:
             max_inf = float(bml_influences(p).max())
             assert cert.certified_value >= var / math.sqrt(max_inf) - 1e-9
             assert var / math.sqrt(max_inf) >= var - 1e-9
+
+    @pytest.mark.parametrize("n, d", BML_HOMOGENEOUS_DIGESTS)
+    def test_pinned_bytes(self, n, d):
+        # Pinned from the builder over sorted (block, index) pair sets.  Sparse, and
+        # for n > 1 index n never occurs in block 1, so Inf_{1,n} = 0.
+        rng = np.random.default_rng(100 * n + d)
+        coeffs = {}
+        for idx in itertools.product(range(1, n + 1), repeat=d):
+            if idx[0] == n > 1 or (rng.random() < 0.3 and set(idx) != {1}):
+                continue
+            coeffs[tuple(zip(range(1, d + 1), idx))] = float(rng.standard_normal())
+        p = BlockMultilinearPolynomial(n, d, coeffs)
+        digest = hashlib.sha256()
+        for s in range(1, d + 1):
+            cert = bml_homogeneous_witness(p, s)
+            w = cert.witness
+            for a in (w.u, w.v, w.A, np.float64(cert.certified_value), np.float64(cert.implied_bound)):
+                digest.update(a.tobytes())
+        assert digest.hexdigest()[:16] == BML_HOMOGENEOUS_DIGESTS[n, d]
 
     def test_rejects_bad_block(self):
         p = BlockMultilinearPolynomial(1, 2, {((1, 1), (2, 1)): 1.0})
