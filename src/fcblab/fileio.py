@@ -57,7 +57,10 @@ def _integer(value, what: str, path) -> int:
 def _number(value, what: str, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: {what} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ParseError(f"{path}: {what} is too large for a float") from None
 
 
 def _array(value, what: str, path) -> np.ndarray:

@@ -81,6 +81,14 @@ class Polynomial:
                 clean[s] = v
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _trusted(cls, n: int, coeffs: dict[Subset, float]) -> Polynomial:
+        """A polynomial from canonical keys and finite nonzero floats, taken as they are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     @property
     def degree(self) -> int:
         return max((len(s) for s in self.coeffs), default=0)
@@ -206,9 +214,34 @@ def fourier_transform(values: Mapping[Sequence[int], float], n: int | None = Non
     return _dense_polynomial(_fwht(table) / size, n)
 
 
+def _subset_table(first: int, count: int) -> list[Subset]:
+    """table[k] = the subset of {first, .., first+count-1} whose bit j in k marks first+j."""
+    table: list[Subset] = [()]
+    for i in range(first, first + count):
+        table += [t + (i,) for t in table]
+    return table
+
+
 def _dense_polynomial(coeff: np.ndarray, n: int) -> Polynomial:
-    """The polynomial whose coefficient on the subset of mask k is coeff[k]; zeros are dropped."""
-    return Polynomial(n, {_mask_subset(int(k), n): float(coeff[k]) for k in np.nonzero(coeff)[0]})
+    """The polynomial whose coefficient on the subset of mask k is coeff[k]; zeros are dropped.
+
+    The keys come in mask order, as from ``Polynomial(n, {_mask_subset(k, n):
+    float(coeff[k])})``, and a non-finite coefficient raises the same
+    ValueError, naming the first such mask.  Only the nonzero masks get a key:
+    the key of mask k joins the subset of its low n//2 bits to that of the
+    rest, from two tables of 2^(n//2) and 2^(n - n//2) subsets.
+    """
+    half = n // 2
+    low, high = _subset_table(1, half), _subset_table(half + 1, n - half)
+    masks = np.flatnonzero(coeff)
+    values = coeff[masks]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(masks[bad[0]])
+        raise ValueError(f"coefficient of {_mask_subset(k, n)} is not finite: {float(coeff[k])}")
+    lowmask = (1 << half) - 1
+    keys = [low[k & lowmask] + high[k >> half] for k in masks.tolist()]
+    return Polynomial._trusted(n, dict(zip(keys, values.tolist())))
 
 
 def evaluate(p: Polynomial, x: Sequence[int]) -> float:

@@ -82,6 +82,15 @@ class TestAnalyze:
         assert captured.out == ""
         assert "not finite" in captured.err
 
+    def test_integer_past_float_range_is_parse_error(self, tmp_path, capsys):
+        # float() of a 401-digit integer once ended the command in an OverflowError traceback
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1, "coeffs": [{"subset": [1], "value": 1' + "0" * 400 + "}]}")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a coefficient value is too large for a float" in captured.err
+
     def test_boolean_entries_are_parse_error(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 2, "coeffs": [{"subset": [True], "value": True}]}))

@@ -75,8 +75,9 @@ class TestPolynomialFormat:
             ),
             ({"n": 2, "coeffs": [{"subset": [1], "value": True}]}, "coefficient value must be a number"),
             ({"n": True, "coeffs": [{"subset": [1], "value": 1.0}]}, "n must be an integer"),
+            ({"n": 1, "coeffs": [{"subset": [1], "value": -(10**400)}]}, "coefficient value is too large for a float"),
         ],
-        ids=["bool-subset-and-value", "bool-subset-entry", "bool-value", "bool-n"],
+        ids=["bool-subset-and-value", "bool-subset-entry", "bool-value", "bool-n", "huge-integer-value"],
     )
     def test_non_integer_fields(self, tmp_path, payload, message):
         path = tmp_path / "p.json"
@@ -159,6 +160,7 @@ class TestWitnessFormat:
             ("A", [[[1.0]], [[False]]], r"an entry of A must be a number, got false"),
             ("A", [[[1.0]], [[None]]], r"an entry of A must be a number, got null"),
             ("A", [[[1.0]], [[1.0, 0.0]]], r"A is not a rectangular array"),
+            pytest.param("u", [10**400], r"an entry of u is too large for a float", id="huge-integer"),
         ],
     )
     def test_non_numeric_entries(self, tmp_path, field, value, message):
@@ -201,6 +203,7 @@ class TestCertificateFormat:
         [
             ("s_or_D", 2.7, "s_or_D must be an integer, got 2.7"),  # int() once read 2
             ("certified_value", True, "certified_value must be a number, got true"),
+            pytest.param("certified_value", 10**400, "certified_value is too large for a float", id="huge-integer"),
         ],
     )
     def test_non_numeric_fields(self, tmp_path, field, value, message):

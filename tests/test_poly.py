@@ -19,6 +19,7 @@ from fcblab import (
     statistics,
     sup_norm_bruteforce,
 )
+from fcblab.poly import _dense_polynomial, _mask_subset
 
 from conftest import all_points, brute_force_coeffs, maj3, random_poly
 
@@ -52,6 +53,61 @@ class TestFourierTransform:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             fourier_transform({}, n=21)
+
+
+def reference_dense_polynomial(coeff, n):
+    """The checked construction: every key canonicalised and every value tested by Polynomial."""
+    return Polynomial(n, {_mask_subset(int(k), n): float(coeff[k]) for k in np.nonzero(coeff)[0]})
+
+
+def dense_array(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    if kind == "zeros":
+        return np.zeros(size)
+    if kind == "negative-zeros":
+        return -np.zeros(size)
+    coeff = rng.standard_normal(size)
+    if kind == "integers":
+        coeff = np.round(4 * coeff)
+    if kind == "sparse":
+        coeff[rng.random(size) < 0.8] = 0.0
+    if kind == "signed-zeros":
+        coeff[rng.random(size) < 0.5] = -0.0
+        coeff[rng.random(size) < 0.2] = 0.0
+    return coeff
+
+
+class TestDensePolynomial:
+    KINDS = ("normal", "integers", "sparse", "zeros", "negative-zeros", "signed-zeros")
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 12), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_matches_checked_construction(self, n, kind, seed):
+        coeff = dense_array(n, kind, seed)
+        p, ref = _dense_polynomial(coeff, n), reference_dense_polynomial(coeff, n)
+        assert p == ref
+        assert list(p.coeffs.items()) == list(ref.coeffs.items())  # same key order too
+        assert type(p.n) is int
+        assert all(type(i) is int for key in p.coeffs for i in key)
+        assert all(type(c) is float for c in p.coeffs.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        bad=st.sampled_from((float("nan"), float("inf"), float("-inf"))),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_non_finite_message_matches(self, n, bad, seed, data):
+        coeff = dense_array(n, "sparse", seed)
+        for k in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)):
+            coeff[k] = bad
+        with pytest.raises(ValueError) as expected:
+            reference_dense_polynomial(coeff, n)
+        with pytest.raises(ValueError, match="not finite") as got:
+            _dense_polynomial(coeff, n)
+        assert str(got.value) == str(expected.value)
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestRun:
 
 
 class TestExtractPolynomial:
+    @pytest.mark.parametrize(
+        "n, d, w, seed, size, digest",
+        [(9, 2, 2, 1717, 256, "8095b4f184e44fa6"), (12, 3, 1, 1718, 2510, "c8408c69ba6c2cd2")],
+    )
+    def test_pinned_polynomial(self, n, d, w, seed, size, digest):
+        # Pinned from the construction that checked every key and value in Polynomial
+        p = extract_polynomial(random_algorithm(n, d, w, seed))
+        assert len(p.coeffs) == size
+        assert hashlib.sha256(repr(list(p.coeffs.items())).encode()).hexdigest()[:16] == digest
+
     def test_d0_constant(self):
         p = extract_polynomial(random_algorithm(2, 0, 1, 9))
         assert p.degree == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcblab import (
     BlockMultilinearPolynomial,
@@ -351,3 +353,61 @@ class TestContractionCheck:
             matrices = stack.reshape((-1,) + shape[-2:])
             assert sigma_max(stack) == max(sigma_max(a) for a in matrices)
         assert sigma_max(np.zeros((2, 3, 0, 0))) == 0.0
+
+
+def sparse_stack(rng, k, m, support):
+    """k random m x m matrices, with zero rows, columns and matrices as `support` asks."""
+    stack = rng.standard_normal((k, m, m))
+    if support == "all-zero":
+        return np.zeros_like(stack)
+    if support == "one-entry":
+        mask = np.zeros((k, m * m), dtype=bool)
+        mask[np.arange(k), rng.integers(m * m, size=k)] = True
+        return np.where(mask.reshape(stack.shape), stack, 0.0)
+    if support == "mixed":
+        stack[rng.random((k, m)) < 0.4] = 0.0  # rows
+        stack.transpose(0, 2, 1)[rng.random((k, m)) < 0.4] = 0.0  # columns
+        stack[rng.random(k) < 0.2] = 0.0
+    return stack
+
+
+class TestSigmaMax:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        m=st.integers(1, 9),
+        support=st.sampled_from(("mixed", "one-entry", "all-zero", "full")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_of_the_full_matrices(self, k, m, support, seed):
+        stack = sparse_stack(np.random.default_rng(seed), k, m, support)
+        bound = 8 * m * np.finfo(float).eps
+        expected = np.linalg.svd(stack, compute_uv=False).max(axis=1)
+        assert abs(sigma_max(stack) - expected.max()) <= bound * max(1.0, expected.max())
+        for a, sigma in zip(stack, expected):
+            assert abs(sigma_max(a) - sigma) <= bound * max(1.0, sigma)
+
+    def test_one_svd_call_per_stack(self, monkeypatch, rng):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        stack = sparse_stack(rng, 40, 7, "mixed")
+        stack[0] = 0.0
+        stack[1] = rng.standard_normal((7, 7))
+        assert sigma_max(stack) > 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("where", [(0, 1, 1), (2, 0, 3)])
+    def test_nan_raises(self, where):
+        stack = np.zeros((3, 4, 4))
+        stack[1] = np.eye(4)
+        stack[where] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            sigma_max(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            sigma_max(stack[where[0]])
