@@ -68,9 +68,9 @@ otherwise it runs on.
   dual, is corrected by one solve with the factor already at hand so that
   (F T)^T L = -T^T c.  Every diagonal of a feasible point is at most 1 (the
   localizer diagonals telescope down from ||v|| = 1), so a block's trace is
-  at most its size k_j and each variable lies in [-sqrt(2), sqrt(2)]; the
-  bound is c.x0 + <L, F x0> + sum_j k_j max(0, -lambda_min(L_j)) +
-  sqrt(2) ||(F T)^T L + T^T c||_1.
+  at most its size k_j and each entry, and so each variable, lies in
+  [-1, 1]; the bound is c.x0 + <L, F x0> + sum_j k_j max(0,
+  -lambda_min(L_j)) + ||(F T)^T L + T^T c||_1.
 Both ends are sound up to the rounding of the computed eigenvalues.  The
 solution reports the repaired point: its value is the lower end, and its
 moment matrix and localizer slack are read from it.  The feasible set is
@@ -321,17 +321,13 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     )
     F = sp.vstack([sp.identity(n_vec, format="csr"), localizer_rows], format="csr")
 
-    # Each off-diagonal entry carries the weight sqrt(2) of the symmetric
-    # vectorization: its variable is weight times its value (T maps it to both
-    # mirrored entries with 1/weight), which fixes the scale of the dual residual.
-    weight = np.tile(np.where(np.eye(k, dtype=bool), 1.0, np.sqrt(2.0)).reshape(-1), n_cliques)
-
     # x = x0 + T y meets the mirrored and shared entries, the class ties and
     # the fixed diagonals for every y, so the ADMM runs on y through G = F T.
+    # Each variable is the value of its entries: T is 0/1.
     variable = prob.variable.reshape(-1)
     free = np.flatnonzero(variable >= 0)
     T = sp.csr_matrix(
-        (1.0 / weight[free], (free, variable[free])),
+        (np.ones(free.size), (free, variable[free])),
         shape=(n_vec, int(variable.max()) + 1),
     )
     x0 = np.where(variable >= 0, 0.0, 1.0)
@@ -377,7 +373,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
             c @ x0
             + dual @ fx0
             + sizes @ np.maximum(-least_eigenvalues(dual), 0.0)
-            + np.sqrt(2.0) * np.abs(excess).sum()
+            + np.abs(excess).sum()
         )
         return (1.0 - t) * float(c @ fx[:n_vec]), float(upper), t
 
