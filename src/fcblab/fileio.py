@@ -63,6 +63,13 @@ def _number(value, what: str, path) -> float:
         raise ParseError(f"{path}: {what} is too large for a float") from None
 
 
+def _finite(value, what: str, path) -> float:
+    number = _number(value, what, path)
+    if not np.isfinite(number):  # Python's json reads NaN, Infinity and 1e400 (as inf)
+        raise ParseError(f"{path}: {what} is not finite")
+    return number
+
+
 def _array(value, what: str, path) -> np.ndarray:
     """A nested list of JSON numbers as a float array; numpy alone would coerce true and "1.5"."""
     entries = np.array(value, dtype=object)
@@ -230,7 +237,7 @@ def load_certificate(path: str | Path) -> InfluenceCertificate:
     return InfluenceCertificate(
         kind=str(kind),
         witness=witness,
-        certified_value=_number(_require(data, "certified_value", path), "certified_value", path),
-        implied_bound=_number(_require(data, "implied_bound", path), "implied_bound", path),
+        certified_value=_finite(_require(data, "certified_value", path), "certified_value", path),
+        implied_bound=_finite(_require(data, "implied_bound", path), "implied_bound", path),
         s_or_d=_integer(_require(data, "s_or_D", path), "s_or_D", path),
     )

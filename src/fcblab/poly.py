@@ -46,6 +46,13 @@ def _finite(val, key) -> float:
     return v
 
 
+def _integer(value, name: str) -> int:
+    """A size argument as an int; bools and floats (even 2.0) are refused, NumPy integers taken."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _sign_vector(x: Sequence[float], n: int) -> tuple[float, ...]:
     if len(x) != n:
         raise ValueError(f"point has length {len(x)}, expected {n}")

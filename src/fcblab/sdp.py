@@ -1,7 +1,8 @@
 """Moment-matrix SDP for the Fourier completely bounded d-norm.
 
-The moment matrix M is indexed by {u} followed by all words of length <= d
-over [n+1] (the empty word is v).  The objective places each Fourier
+The moment matrix M is indexed by u followed by all words of length <= d
+over [n+1] (the empty word is v): index 0 is u, and the words follow by
+length, then in lexicographic order.  The objective places each Fourier
 coefficient on the (u, canonical word) entry; for every letter i the Gram
 matrix of the shifted vectors {v_{i w}} must be dominated by the Gram matrix
 of {v_w} over words of length <= d-1, which encodes "A(i) is a contraction"
@@ -10,16 +11,19 @@ as a pair of principal-submatrix selections.
 No tie, localizer or objective term touches an entry <v_{i w}, v_{j w'}> of
 two length-d words with different first letters i != j, so the constraint
 pattern is chordal.  Its cliques are C_i = {u} + W_{<=d-1} + {i w : |w| =
-d-1}, one per letter, and all of them share the separator {u} + W_{<=d-1}
-(d = 0 has the one clique {u, v}).  By Grone, Johnson, Sa & Wolkowicz,
-"Positive definite completions of partial Hermitian matrices" (Linear
-Algebra Appl. 58, 1984), M can be completed to a PSD matrix exactly when
-every clique block M[C_i, C_i] is PSD, so the program asks for n+1 PSD
-clique blocks in place of one D x D cone, with the same optimum (Zheng,
-Fantuzzi, Papachristodoulou, Goulart & Wynn, Math. Prog. 180, 2020).  The
-entries that no clique covers have no variable.  After the solve they are
-filled by the completion M[P_i, P_j] = M[P_i, S] M[S, S]^+ M[S, P_j] of the
-private parts P_i through the separator S.
+d-1}, one per letter, and all of them share the separator S = {u} +
+W_{<=d-1} (d = 0 has the one clique {u, v}).  In the index layout S is
+0..width-1 with width = D - (n+1)^d, and the private part P_i of C_i is the
+i-th run of (n+1)^(d-1) length-d words; a clique lists S at its own moment
+indices, then its run.  By Grone, Johnson, Sa & Wolkowicz, "Positive
+definite completions of partial Hermitian matrices" (Linear Algebra Appl.
+58, 1984), M can be completed to a PSD matrix exactly when every clique
+block M[C_i, C_i] is PSD, so the program asks for n+1 PSD clique blocks in
+place of one D x D cone, with the same optimum (Zheng, Fantuzzi,
+Papachristodoulou, Goulart & Wynn, Math. Prog. 180, 2020).  The entries
+that no clique covers have no variable.  After the solve they are filled by
+the completion M[P_i, P_j] = M[P_i, S] M[S, S]^+ M[S, P_j] of the private
+parts through the separator.
 
 The program is built in the form the solver works in: a stack of the clique
 blocks, each a dense symmetric k x k matrix, beside a stack of the localizer
@@ -28,18 +32,21 @@ being imposed as constraints: an entry and its mirror image share one
 variable, so does an entry that several cliques share, every entry
 <u, v_w> of a parity class of length-d words shares the variable of the
 class's first word, and the diagonal entries M[u,u] = M[v,v] = 1 have no
-variable.  The stacked blocks are x = x0 + T y, with x0 holding the fixed
-ones and T the map from the free variables y to their entries.
+variable.  Each variable is the value of its entries: the stacked blocks
+are x = x0 + T y, with x0 holding the fixed ones and T the 0/1 map from the
+free variables y to their entries.  A localizer slack is the base selection
+of its letter's clique block minus the shifted one, so the blocks and
+slacks of x are g0 + G y, with G = [T; T[base] - T[shift]] and g0 the same
+gather of x0.
 
 The solver is an in-house consensus ADMM on y: each iteration performs a
-sparse linear solve with (F T)^T (F T) (the only place the objective
-enters), where F stacks the identity on the clique blocks and the localizer
-selections, one batched PSD projection of the clique blocks and one of the
-localizer slacks, each via eigendecomposition, starting from zero.  The
-ADMM step is plain (no over-relaxation) and is extrapolated by safeguarded
-type-II Anderson acceleration over the last ANDERSON_MEMORY steps; an
-extrapolated point whose fixed-point residual is worse than that of the
-point it came from is discarded in favour of the plain step.
+sparse linear solve with G^T G (the only place the objective enters), one
+batched PSD projection of the clique blocks and one of the localizer
+slacks, each via eigendecomposition, starting from zero.  The ADMM step is
+plain (no over-relaxation) and is extrapolated by safeguarded type-II
+Anderson acceleration over the last ANDERSON_MEMORY steps; an extrapolated
+point whose fixed-point residual is worse than that of the point it came
+from is discarded in favour of the plain step.
 
 Every RESIDUAL_CHECK_EVERY iterations a plain step is checked.  The check
 measures the relative primal and the dual residual and balances the penalty
@@ -66,11 +73,11 @@ otherwise it runs on.
 - Upper end: weak duality for a multiplier L (Jansson, Chaykin & Keil,
   SIAM J. Numer. Anal. 46, 2007).  L = rho (z - v), the negated scaled
   dual, is corrected by one solve with the factor already at hand so that
-  (F T)^T L = -T^T c.  Every diagonal of a feasible point is at most 1 (the
+  G^T L = -T^T c.  Every diagonal of a feasible point is at most 1 (the
   localizer diagonals telescope down from ||v|| = 1), so a block's trace is
   at most its size k_j and each entry, and so each variable, lies in
-  [-1, 1]; the bound is c.x0 + <L, F x0> + sum_j k_j max(0,
-  -lambda_min(L_j)) + ||(F T)^T L + T^T c||_1.
+  [-1, 1]; the bound is c.x0 + <L, g0> + sum_j k_j max(0, -lambda_min(L_j))
+  + ||G^T L + T^T c||_1.
 Both ends are sound up to the rounding of the computed eigenvalues.  The
 solution reports the repaired point: its value is the lower end, and its
 moment matrix and localizer slack are read from it.  The feasible set is
@@ -88,9 +95,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .behavior import Witness, Word, canonical_word, enumerate_classes
+from .behavior import Witness, Word, _class_firsts, canonical_word
 from .errors import CapacityError, ConvergenceError, ExtractionError
-from .poly import Polynomial
+from .poly import Polynomial, _integer
 
 MAX_DIM = 2000  # the largest moment matrix build_fcb_sdp accepts
 
@@ -108,15 +115,15 @@ COMPLETION_RCOND = 1e-12  # relative cut-off of the separator pseudo-inverse in 
 @dataclass
 class SdpProblem:
     dim: int
-    # One row per clique: the moment indices of u, of the separator words of
-    # length <= d-1 (the same in every row), then of the clique's own length-d words.
+    # One row per clique: the separator's moment indices 0..width-1 (u and the
+    # words of length <= d-1, the same in every row), then the clique's run of length-d words.
     cliques: np.ndarray
     # (n+1, k, k), symmetric: p_hat(S)/2 on the entries (u, w) and (w, u) of the
     # canonical word w of S, so that sum(objective * blocks) = sum_S p_hat(S) M[u, w].
     objective: np.ndarray
     # (n+1, k, k), symmetric: the index of each entry's free variable; -1 where it is fixed at 1.
     variable: np.ndarray
-    base: np.ndarray  # (|W0|,): the moment indices of the words w of length <= d-1
+    base: np.ndarray  # (|W0|,): the moment indices 1..width-1 of the words w of length <= d-1
     shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the indices of the words i w; letter i lies in clique i-1
     n: int
     d: int
@@ -138,15 +145,9 @@ class SdpSolution:
     history: list[tuple[int, float, float, float, float]]  # per check: iteration, primal, dual, rho, seconds
 
 
-def _all_words(n: int, d: int) -> list[Word]:
-    words: list[Word] = []
-    for length in range(d + 1):
-        words.extend(itertools.product(range(1, n + 2), repeat=length))
-    return words
-
-
 def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     """Assemble the moment-matrix program whose optimum is ||p||_{fcb,d}."""
+    d = _integer(d, "d")
     if d < 0:
         raise ValueError("d must be nonnegative")
     if p.degree > d:
@@ -158,46 +159,40 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
         if dim > MAX_DIM:
             raise CapacityError(f"the moment matrix at d={d} exceeds the guard of dimension {MAX_DIM}")
 
-    words = _all_words(n, d)
+    words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
 
-    # Clique i-1 holds the length-d words that begin with letter i; d = 0 has
-    # the one clique {u, v}.
-    separator = [0] + [word_index[w] for w in words if len(w) < d]
-    private: dict[Word, list[int]] = {}
-    for w in words:
-        if len(w) == d:
-            private.setdefault(w[:1], []).append(word_index[w])
-    cliques = np.array([separator + members for members in private.values()])
-    blocks = (cliques[:, :, None], cliques[:, None, :])  # D x D entries of each clique block
+    # Clique i-1 is the separator 0..width-1 followed by the i-th run of
+    # length-d words, those that begin with letter i; d = 0 has the one clique {u, v}.
+    width = dim - (n + 1) ** d
+    run = (n + 1) ** (d - 1) if d else 1
+    private = np.arange(width, dim).reshape(-1, run)
+    cliques = np.hstack([np.tile(np.arange(width), (len(private), 1)), private])
 
-    # A canonical word has length d, so its entries (u, w) and (w, u) lie in one clique.
-    objective = np.zeros((dim, dim))
-    for s, c in p.coeffs.items():
-        w = word_index[canonical_word(s, d, n)]
-        objective[0, w] = objective[w, 0] = c / 2.0
-
-    # owner[a, b] is the D x D entry a * D + b (a <= b) whose variable entry (a, b) takes.
-    flat = np.arange(dim * dim).reshape(dim, dim)
-    owner = np.minimum(flat, flat.T)
-    for members in enumerate_classes(n, d).values():
-        tied = [word_index[w] for w in members]
-        owner[0, tied] = owner[tied, 0] = word_index[members[0]]
-    v = word_index[()]
-    owner[0, 0] = owner[v, v] = -1
-    owner = owner[blocks]
+    # An entry takes the variable of the upper-triangle moment entry lo * D + hi
+    # it mirrors; an entry (u, w) of a length-d word takes the variable of
+    # (u, first word of w's class), and M[u, u] = M[v, v] = 1 have none.
+    rows, cols = cliques[:, :, None], cliques[:, None, :]
+    owner = np.minimum(rows, cols) * dim + np.maximum(rows, cols)
+    owner[:, 0, width:] = owner[:, width:, 0] = width + _class_firsts(n, d)[private - width]
+    owner[:, 0, 0] = owner[:, 1, 1] = -1
     free = owner >= 0
     variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
 
-    short = [w for w in words if len(w) <= d - 1]
+    # A canonical word has length d, so its entries (u, w) and (w, u) lie in one clique.
+    objective = np.zeros(owner.shape)
+    for s, c in p.coeffs.items():
+        clique, j = divmod(word_index[canonical_word(s, d, n)] - width, run)
+        objective[clique, 0, width + j] = objective[clique, width + j, 0] = c / 2.0
+
     return SdpProblem(
         dim=dim,
         cliques=cliques,
-        objective=objective[blocks],
+        objective=objective,
         variable=variable,
-        base=np.array([word_index[w] for w in short], dtype=int),
-        shifted=np.array([[word_index[(i,) + w] for w in short] for i in range(1, n + 2)], dtype=int),
+        base=np.arange(1, width),
+        shifted=np.array([[word_index[(i,) + w] for w in words[: width - 1]] for i in range(1, n + 2)], dtype=int),
         n=n,
         d=d,
         words=words,
@@ -279,50 +274,46 @@ class _Anderson:
 def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Run the accelerated consensus ADMM iteration until the certified gap is at most tol.
 
-    The primal residual is ||F x - z|| / (1 + ||F x||) and the dual residual
-    rho ||(F T)^T (z - z_prev)|| / (1 + ||c||).  At every residual check the
-    two are compared, and a ratio outside the dead band multiplies rho
-    (starting at 1) by its square root, by at most RHO_STEP_MAX.  A check
-    whose residuals are both at most tol evaluates the interval [lower,
-    upper] that holds the optimum, and the solve stops once upper - lower <=
-    tol.  The solution reports the repaired point of the last check (its
-    value is lower), the final rho, the number of changes and one history
-    row per check.  Returns converged=False when the iteration budget is
-    exhausted, with the interval of the last iteration; callers decide
-    whether that is fatal.  A tol that is not positive and finite, or
-    max_iters below 1, is a ValueError.
+    With g = g0 + G y the blocks and slacks of x, the primal residual is
+    ||g - z|| / (1 + ||g||) and the dual residual rho ||G^T (z - z_prev)|| /
+    (1 + ||c||).  At every residual check the two are compared, and a ratio
+    outside the dead band multiplies rho (starting at 1) by its square root,
+    by at most RHO_STEP_MAX.  A check whose residuals are both at most tol
+    evaluates the interval [lower, upper] that holds the optimum, and the
+    solve stops once upper - lower <= tol.  The solution reports the
+    repaired point of the last check (its value is lower), the final rho,
+    the number of changes and one history row per check.  Returns
+    converged=False when the iteration budget is exhausted, with the
+    interval of the last iteration; callers decide whether that is fatal.  A tol that is not positive and finite, or a
+    max_iters that is not an integer of at least 1, is a ValueError.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    max_iters = _integer(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     start = time.perf_counter()
     n_cliques, k = prob.cliques.shape
     n_vec = n_cliques * k * k
 
-    # Localizer i lies in clique i, which lists the separator (and so the
-    # base words) in the same places as every other clique.  Slack entry
-    # (a, b) of letter i + 1 is block entry loc_base[i, a, b] minus block entry
-    # loc_shift[i, a, b], as flat offsets into the stacked blocks.
-    which = np.arange(n_cliques)[:, None]
-    position = np.zeros((n_cliques, prob.dim), dtype=int)
-    position[which, prob.cliques] = np.arange(k)
-    base = position[0, prob.base]
-    shifted = position[which, prob.shifted]
-    offset = k * k * which[:, :, None]
-    loc_base = offset + k * base[:, None] + base
+    # The layout gives each word's place in a clique: a separator word sits at
+    # its moment index, a length-d word j at width + (j - width) mod (k - width).
+    # Localizer i lies in clique i, so slack entry (a, b) of letter i + 1 is
+    # block entry loc_base[i, a, b] minus block entry loc_shift[i, a, b], as
+    # flat offsets into the stacked blocks (d = 0 has one clique and n + 1
+    # localizers with no rows).
+    width = 1 + prob.base.size
+    shifted = np.where(prob.shifted < width, prob.shifted, width + (prob.shifted - width) % (k - width))
+    offset = k * k * np.arange(n_cliques)[:, None, None]
+    loc_base = offset + k * prob.base[:, None] + prob.base
     loc_shift = offset + k * shifted[:, :, None] + shifted[:, None, :]
 
-    # (d = 0 has one clique and n + 1 localizers with no rows.)
-    cols = np.stack([np.broadcast_to(loc_base, loc_shift.shape), loc_shift], axis=-1).reshape(-1)
-    localizer_rows = sp.csr_matrix(
-        (np.tile([1.0, -1.0], loc_shift.size), (np.repeat(np.arange(loc_shift.size), 2), cols)),
-        shape=(loc_shift.size, n_vec),
-    )
-    F = sp.vstack([sp.identity(n_vec, format="csr"), localizer_rows], format="csr")
+    def with_slacks(a):
+        """The rows of a over the stacked blocks, followed by their localizer slack differences."""
+        return [a, a[loc_base.reshape(-1)] - a[loc_shift.reshape(-1)]]
 
     # x = x0 + T y meets the mirrored and shared entries, the class ties and
-    # the fixed diagonals for every y, so the ADMM runs on y through G = F T.
+    # the fixed diagonals for every y, so the ADMM runs on y through G.
     # Each variable is the value of its entries: T is 0/1.
     variable = prob.variable.reshape(-1)
     free = np.flatnonzero(variable >= 0)
@@ -331,17 +322,17 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         shape=(n_vec, int(variable.max()) + 1),
     )
     x0 = np.where(variable >= 0, 0.0, 1.0)
-    G = (F @ T).tocsr()
+    G = sp.vstack(with_slacks(T), format="csr")
     Gt = G.T.tocsr()
     solver = splu((Gt @ G).tocsc())
-    fx0 = F @ x0
+    g0 = np.concatenate(with_slacks(x0))
 
     c = prob.objective.reshape(-1)
     cy = T.T @ c
     c_norm = 1.0 + np.linalg.norm(c)
 
     def stacks(vec: np.ndarray) -> list[np.ndarray]:
-        """The clique blocks and the localizer slacks of a vector in the range of F."""
+        """The clique blocks and the localizer slacks of a vector of with_slacks' layout."""
         return [vec[:n_vec].reshape(n_cliques, k, k), vec[n_vec:].reshape(loc_shift.shape)]
 
     def project_blocks(vec: np.ndarray) -> np.ndarray:
@@ -360,28 +351,29 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     central = np.where(prob.cliques == 0, 1.0, 0.5 ** length[prob.cliques])
     x_central = (central[:, :, None] * np.eye(k)).reshape(-1)
     central_least = 0.5**prob.d
-    sizes = np.concatenate([np.full(len(s), s.shape[1]) for s in stacks(fx0) if s.size])
+    sizes = np.concatenate([np.full(len(s), s.shape[1]) for s in stacks(g0) if s.size])
 
-    def interval(fx: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
+    def interval(g: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
         """The ends lower <= optimum <= upper and the repair weight t, as in the module docstring."""
-        negative = np.minimum(least_eigenvalues(fx), 0.0)
+        negative = np.minimum(least_eigenvalues(g), 0.0)
         t = float(np.max(-negative / (central_least - negative)))
         dual = rho * (z - v)
         dual -= G @ solver.solve(Gt @ dual + cy)
         excess = Gt @ dual + cy
         upper = (
             c @ x0
-            + dual @ fx0
+            + dual @ g0
             + sizes @ np.maximum(-least_eigenvalues(dual), 0.0)
             + np.abs(excess).sum()
         )
-        return (1.0 - t) * float(c @ fx[:n_vec]), float(upper), t
+        return (1.0 - t) * float(c @ g[:n_vec]), float(upper), t
 
     # The state is the point v that the projection is applied to: z = P(v) is
     # the consensus copy and u = v - z the scaled dual, so one plain ADMM step
-    # maps v to F x + u, and Anderson acceleration extrapolates across steps.
+    # maps v to the blocks and slacks of x plus u, and Anderson acceleration
+    # extrapolates across steps.
     rho = 1.0
-    v = np.zeros(F.shape[0])
+    v = np.zeros(g0.size)
     z = project_blocks(v)
     accel = _Anderson(v.size)
     iterations = penalty_changes = 0
@@ -391,9 +383,9 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     for iteration in range(1, max_iters + 1):
         iterations = iteration
         u = v - z
-        y = solver.solve(cy / rho + Gt @ (z - u - fx0))
-        fx = fx0 + G @ y
-        step = fx + u
+        y = solver.solve(cy / rho + Gt @ (z - u - g0))
+        g = g0 + G @ y
+        step = g + u
         # Residuals are measured on plain steps only, so a check iteration neither
         # extrapolates nor rejects.
         check = iteration % RESIDUAL_CHECK_EVERY == 0 or iteration == max_iters
@@ -402,12 +394,12 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         if not check:
             continue
 
-        primal_res = float(np.linalg.norm(fx - z) / (1.0 + np.linalg.norm(fx)))
+        primal_res = float(np.linalg.norm(g - z) / (1.0 + np.linalg.norm(g)))
         dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
         history.append((iteration, primal_res, dual_res, rho, time.perf_counter() - start))
         passed = primal_res <= tol and dual_res <= tol
         if passed or iteration == max_iters:
-            lower, upper, t = interval(fx, v, z)
+            lower, upper, t = interval(g, v, z)
             converged = passed and upper - lower <= tol
             if converged or iteration == max_iters:
                 break
@@ -447,26 +439,20 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
     """The D x D moment matrix with the given clique blocks, completed through the separator.
 
-    The private parts P_i, P_j of two cliques meet in M[P_i, S] M[S, S]^+ M[S, P_j],
-    which is PSD when every clique block is.
+    The separator S is M[:width, :width]; the private parts P_i, P_j of two
+    cliques meet in M[P_i, S] M[S, S]^+ M[S, P_j], which is PSD when every
+    clique block is.
     """
-    moment = np.zeros((prob.dim, prob.dim))
-    for clique, block in zip(prob.cliques, blocks):
-        moment[np.ix_(clique, clique)] = block
-    if len(prob.cliques) == 1:
-        return moment
-    width = 1 + prob.base.size  # the separator: u and the base words
-    separator = prob.cliques[0, :width]
-    private = prob.cliques[:, width:]
-    anchor = moment[np.ix_(separator, separator)]
-    cross = moment[np.ix_(separator, private.reshape(-1))]
-    eigvals, eigvecs = np.linalg.eigh(anchor)
+    width = 1 + prob.base.size
+    run = blocks.shape[1] - width
+    cross = np.concatenate(blocks[:, :width, width:], axis=1)  # M[S, P], the runs in order
+    eigvals, eigvecs = np.linalg.eigh(blocks[0, :width, :width])
     keep = eigvals > COMPLETION_RCOND * eigvals[-1]
     half = cross.T @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
-    fill = half @ half.T
-    owner = np.repeat(np.arange(len(private)), private.shape[1])
-    pairs = np.ix_(private.reshape(-1), private.reshape(-1))
-    moment[pairs] = np.where(owner[:, None] != owner[None, :], fill, moment[pairs])
+    moment = np.block([[blocks[0, :width, :width], cross], [cross.T, half @ half.T]])
+    private = moment[width:, width:]
+    for i, block in enumerate(blocks):
+        private[i * run : (i + 1) * run, i * run : (i + 1) * run] = block[width:, width:]
     return moment
 
 

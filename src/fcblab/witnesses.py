@@ -27,6 +27,7 @@ from .linalg import sigma_max
 from .poly import (
     BlockMultilinearPolynomial,
     Polynomial,
+    _integer,
     bml_influences,
     bml_variance,
     degree_part,
@@ -173,6 +174,7 @@ def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceC
     d = p.d
     if not p.is_homogeneous() or p.degree != d or not p.coeffs:
         raise ValueError("construction requires a homogeneous degree-d block-multilinear polynomial")
+    s = _integer(s, "s")
     if not (1 <= s <= d):
         raise IndexError(f"block {s} out of range for d={d}")
     n = p.n

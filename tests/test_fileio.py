@@ -204,6 +204,12 @@ class TestCertificateFormat:
             ("s_or_D", 2.7, "s_or_D must be an integer, got 2.7"),  # int() once read 2
             ("certified_value", True, "certified_value must be a number, got true"),
             pytest.param("certified_value", 10**400, "certified_value is too large for a float", id="huge-integer"),
+            # json reads NaN, Infinity and 1e400 (as inf); they once loaded as nan and inf
+            *[
+                pytest.param(field, value, f"{field} is not finite", id=f"{field}-{value}")
+                for field in ("certified_value", "implied_bound")
+                for value in [float("nan"), float("inf"), float("-inf"), "1e400"]
+            ],
         ],
     )
     def test_non_numeric_fields(self, tmp_path, field, value, message):
@@ -211,7 +217,7 @@ class TestCertificateFormat:
         save_certificate(homogeneous_fcb_witness(Polynomial(2, {(1, 2): 1.0})), path)
         data = json.loads(path.read_text())
         data[field] = value
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data).replace('"1e400"', "1e400"))  # the string stands for the bare literal
         with pytest.raises(ParseError, match=message):
             load_certificate(path)
 

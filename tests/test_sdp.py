@@ -75,7 +75,70 @@ PINNED_OPTIMA = [
 ]
 
 
+def reference_build(p, d):
+    """The D x D construction of the clique program: the ten SdpProblem fields, in their order.
+
+    The separator is listed word by word, the private runs are gathered in a
+    dict keyed by first letter, the class ties come from enumerate_classes,
+    and the objective and variable owners are D x D tables sliced into the
+    clique stacks.
+    """
+    n = p.n
+    words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
+    word_index = {w: 1 + k for k, w in enumerate(words)}
+    dim = 1 + len(words)
+    separator = [0] + [word_index[w] for w in words if len(w) < d]
+    private = {}
+    for w in words:
+        if len(w) == d:
+            private.setdefault(w[:1], []).append(word_index[w])
+    cliques = np.array([separator + members for members in private.values()])
+    blocks = (cliques[:, :, None], cliques[:, None, :])
+    objective = np.zeros((dim, dim))
+    for s, c in p.coeffs.items():
+        w = word_index[canonical_word(s, d, n)]
+        objective[0, w] = objective[w, 0] = c / 2.0
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    owner = np.minimum(flat, flat.T)
+    for members in enumerate_classes(n, d).values():
+        tied = [word_index[w] for w in members]
+        owner[0, tied] = owner[tied, 0] = word_index[members[0]]
+    v = word_index[()]
+    owner[0, 0] = owner[v, v] = -1
+    owner = owner[blocks]
+    free = owner >= 0
+    variable = np.full(owner.shape, -1)
+    variable[free] = np.unique(owner[free], return_inverse=True)[1]
+    short = [w for w in words if len(w) <= d - 1]
+    base = np.array([word_index[w] for w in short], dtype=int)
+    shifted = np.array([[word_index[(i,) + w] for w in short] for i in range(1, n + 2)], dtype=int)
+    return dim, cliques, objective[blocks], variable, base, shifted, n, d, words, word_index
+
+
+BUILD_SHAPES = [
+    (n, d) for n in range(1, 8) for d in range(5) if 1 + sum((n + 1) ** s for s in range(d + 1)) <= sdp.MAX_DIM
+]
+
+
 class TestBuild:
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.sampled_from(BUILD_SHAPES), data=st.data())
+    def test_matches_the_dense_construction(self, shape, data):
+        n, d = shape
+        monomials = [s for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)]
+        chosen = data.draw(st.lists(st.sampled_from(monomials), unique=True, max_size=8))  # may be empty or hold ()
+        values = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=len(chosen), max_size=len(chosen)))
+        p = Polynomial(n, dict(zip(chosen, values)))
+        prob = build_fcb_sdp(p, d)
+        for field, expected in zip(dataclasses.fields(prob), reference_build(p, d), strict=True):
+            got = getattr(prob, field.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), field.name
+            else:  # the word list and the index, in the same order
+                assert type(got) is type(expected) and got == expected, field.name
+                if isinstance(expected, dict):
+                    assert list(got.items()) == list(expected.items())
+
     # Within a clique, u is row 0 and v row 1 of the dense clique block, so
     # entry (u, w) of clique q sits at [q, 0, j] and [q, j, 0], where j is the
     # column of w in the clique, and the fixed (v, v) entry at [q, 1, 1].
@@ -165,6 +228,16 @@ class TestBuild:
         assert prob.base.tolist() == [prob.word_index[w] for w in short]
         assert prob.shifted.tolist() == [[prob.word_index[(i,) + w] for w in short] for i in (1, 2, 3)]
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, True])
+    def test_rejects_non_integer_degree(self, d):
+        # 2.0 and 2.5 once raised a bare TypeError from range().
+        with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
+            build_fcb_sdp(Polynomial(1, {(1,): 1.0}), d)
+
+    def test_takes_numpy_integer_degree(self):
+        prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), np.int64(2))
+        assert type(prob.d) is int and prob.d == 2
+
     def test_capacity_guard_env(self, monkeypatch):
         monkeypatch.setattr(sdp, "MAX_DIM", 10)
         with pytest.raises(CapacityError):
@@ -236,6 +309,16 @@ class TestSolveAnchors:
     def test_rejects_empty_iteration_budget(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 5.0, True])
+    def test_rejects_non_integer_iteration_budget(self, max_iters):
+        # max_iters=True once ran one iteration, and 2.5 raised a bare TypeError.
+        with pytest.raises(ValueError, match=f"max_iters must be an integer, got {max_iters!r}"):
+            solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), max_iters=max_iters)
+
+    def test_takes_numpy_integer_iteration_budget(self):
+        sol = solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), max_iters=np.int64(5))
+        assert sol.iterations == 5
 
     def test_slow_drift_instance_converges_quickly(self):
         # Instance k=6 of acceptance criterion 5.  An over-relaxed ADMM with

@@ -187,6 +187,19 @@ class TestBmlHomogeneousWitness:
         with pytest.raises(ValueError):
             bml_homogeneous_witness(p, 1)
 
+    @pytest.mark.parametrize("s", [True, 1.0, 1.5])
+    def test_rejects_non_integer_block(self, s):
+        # s=True once built a certificate with s_or_d=True, which save_certificate
+        # wrote as "s_or_D": true and load_certificate then refused.
+        p = BlockMultilinearPolynomial(1, 2, {((1, 1), (2, 1)): 1.0})
+        with pytest.raises(ValueError, match=f"s must be an integer, got {s!r}"):
+            bml_homogeneous_witness(p, s)
+
+    def test_takes_numpy_integer_block(self):
+        p = BlockMultilinearPolynomial(1, 2, {((1, 1), (2, 1)): 1.0})
+        cert = bml_homogeneous_witness(p, np.int64(2))
+        assert type(cert.s_or_d) is int and cert.s_or_d == 2
+
 
 class TestBmlGeneralWitness:
     def test_homogeneous_reduces_to_top_degree(self, rng):
