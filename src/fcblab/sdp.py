@@ -8,36 +8,41 @@ matrix of the shifted vectors {v_{i w}} must be dominated by the Gram matrix
 of {v_w} over words of length <= d-1, which encodes "A(i) is a contraction"
 as a pair of principal-submatrix selections.
 
-No tie, localizer or objective term touches an entry <v_{i w}, v_{j w'}> of
-two length-d words with different first letters i != j, so the constraint
-pattern is chordal.  Its cliques are C_i = {u} + W_{<=d-1} + {i w : |w| =
-d-1}, one per letter, and all of them share the separator S = {u} +
-W_{<=d-1} (d = 0 has the one clique {u, v}).  In the index layout S is
-0..width-1 with width = D - (n+1)^d, and the private part P_i of C_i is the
-i-th run of (n+1)^(d-1) length-d words; a clique lists S at its own moment
-indices, then its run.  By Grone, Johnson, Sa & Wolkowicz, "Positive
-definite completions of partial Hermitian matrices" (Linear Algebra Appl.
-58, 1984), M can be completed to a PSD matrix exactly when every clique
-block M[C_i, C_i] is PSD, so the program asks for n+1 PSD clique blocks in
-place of one D x D cone, with the same optimum (Zheng, Fantuzzi,
-Papachristodoulou, Goulart & Wynn, Math. Prog. 180, 2020).  The entries
-that no clique covers have no variable.  After the solve they are filled by
-the completion M[P_i, P_j] = M[P_i, S] M[S, S]^+ M[S, P_j] of the private
-parts through the separator.
+The localizers touch M[W0, W0] and M[i W0, i W0], with W0 = W_{<=d-1}; the
+objective and the class ties touch the entries (u, w) of length-d words w,
+and the fixed entries are M[u, u] and M[v, v].  So n+2 cliques of
+width = D - (n+1)^d indices each cover every constraint: C_0 = S =
+{u} + W0, and C_i = {u} + i W0 for each letter i (d = 0 has the one clique
+{u, v}).  In the index layout C_0 is 0..width-1, and C_i lists u, then the
+words i w in the order of W0, so it ends with its private part P_i, the
+i-th run of (n+1)^(d-1) length-d words.  With S made complete, P_i is
+joined only to T_i = C_0 & C_i = {u} + {i w : |w| <= d-2}, so eliminating
+the P_i first is a perfect elimination order: the pattern is chordal, and
+its clique tree hangs each C_i from C_0 on the separator T_i.  By Grone,
+Johnson, Sa & Wolkowicz, "Positive definite completions of partial
+Hermitian matrices" (Linear Algebra Appl. 58, 1984), M can be completed to
+a PSD matrix exactly when every clique block M[C_i, C_i] is PSD, so the
+program asks for n+2 PSD width x width blocks in place of one D x D cone,
+with the same optimum (Zheng, Fantuzzi, Papachristodoulou, Goulart & Wynn,
+Math. Prog. 180, 2020; Vandenberghe & Andersen, "Chordal Graphs and
+Semidefinite Optimization", 2015).  The entries that no clique covers have
+no variable.  After the solve they are filled along the clique tree in two
+stages: first M[P_i, S] = X_i[P, T] X_i[T, T]^+ M[T_i, S] from the block
+X_i of C_i, then M[P_i, P_j] = M[P_i, S] M[S, S]^+ M[S, P_j].
 
 The program is built in the form the solver works in: a stack of the clique
-blocks, each a dense symmetric k x k matrix, beside a stack of the localizer
-slacks.  Its equality relations are written into the variable instead of
-being imposed as constraints: an entry and its mirror image share one
-variable, so does an entry that several cliques share, every entry
-<u, v_w> of a parity class of length-d words shares the variable of the
-class's first word, and the diagonal entries M[u,u] = M[v,v] = 1 have no
-variable.  Each variable is the value of its entries: the stacked blocks
+blocks, each a dense symmetric width x width matrix, beside a stack of the
+localizer slacks.  Its equality relations are written into the variable
+instead of being imposed as constraints: an entry and its mirror image
+share one variable, so does an entry that several cliques share, every
+entry <u, v_w> of a parity class of length-d words shares the variable of
+the class's first word, and the diagonal entries M[u,u] = M[v,v] = 1 have
+no variable.  Each variable is the value of its entries: the stacked blocks
 are x = x0 + T y, with x0 holding the fixed ones and T the 0/1 map from the
 free variables y to their entries.  A localizer slack is the base selection
-of its letter's clique block minus the shifted one, so the blocks and
-slacks of x are g0 + G y, with G = [T; T[base] - T[shift]] and g0 the same
-gather of x0.
+of clique 0 minus the same selection of its letter's clique, so the blocks
+and slacks of x are g0 + G y, with G = [T; T[base] - T[shift]] and g0 the
+same gather of x0.
 
 The solver is an in-house consensus ADMM on y: each iteration performs a
 sparse linear solve with G^T G (the only place the objective enters), one
@@ -88,6 +93,7 @@ embedding.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -109,22 +115,23 @@ RHO_STEP_MAX = 10.0  # the largest factor by which one check moves the penalty
 RHO_MIN, RHO_MAX = 1e-4, 1e4
 ANDERSON_MEMORY = 20
 ANDERSON_REGULARIZATION = 1e-10  # ridge on the least-squares Gram matrix, relative to the mean squared differences
-COMPLETION_RCOND = 1e-12  # relative cut-off of the separator pseudo-inverse in the completion
+COMPLETION_RCOND = 1e-12  # relative cut-off of the pseudo-inverses in the completion
 
 
 @dataclass
 class SdpProblem:
     dim: int
-    # One row per clique: the separator's moment indices 0..width-1 (u and the
-    # words of length <= d-1, the same in every row), then the clique's run of length-d words.
+    # (n+2, width), one row of moment indices per clique: row 0 is the separator
+    # 0..width-1 (u and the words of length <= d-1), row i is 0 and then shifted[i-1],
+    # ending with the i-th run of length-d words; d = 0 has the one row [0, 1].
     cliques: np.ndarray
-    # (n+1, k, k), symmetric: p_hat(S)/2 on the entries (u, w) and (w, u) of the
+    # (n+2, width, width), symmetric: p_hat(S)/2 on the entries (u, w) and (w, u) of the
     # canonical word w of S, so that sum(objective * blocks) = sum_S p_hat(S) M[u, w].
     objective: np.ndarray
-    # (n+1, k, k), symmetric: the index of each entry's free variable; -1 where it is fixed at 1.
+    # (n+2, width, width), symmetric: the index of each entry's free variable; -1 where it is fixed at 1.
     variable: np.ndarray
     base: np.ndarray  # (|W0|,): the moment indices 1..width-1 of the words w of length <= d-1
-    shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the indices of the words i w; letter i lies in clique i-1
+    shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the indices of the words i w, clique i after u
     n: int
     d: int
     words: list[Word]
@@ -136,7 +143,7 @@ class SdpSolution:
     value: float  # the value of the reported point, which is lower
     lower: float  # the ends of an interval that holds the optimum (sound up to eigenvalue rounding)
     upper: float
-    moment: np.ndarray  # the repaired clique blocks, completed through the separator
+    moment: np.ndarray  # the repaired clique blocks, completed along the clique tree
     localizer_min_eig_slack: float
     iterations: int
     converged: bool
@@ -162,29 +169,37 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
 
-    # Clique i-1 is the separator 0..width-1 followed by the i-th run of
-    # length-d words, those that begin with letter i; d = 0 has the one clique {u, v}.
+    # Clique 0 is the separator 0..width-1 and clique i is u followed by the
+    # words i w of letter i, so each clique ends with a run of length-d words
+    # (clique i with the i-th); d = 0 has the one clique {u, v}.
     width = dim - (n + 1) ** d
     run = (n + 1) ** (d - 1) if d else 1
     private = np.arange(width, dim).reshape(-1, run)
-    cliques = np.hstack([np.tile(np.arange(width), (len(private), 1)), private])
+    shifted = np.array([[word_index[(i,) + w] for w in words[: width - 1]] for i in range(1, n + 2)], dtype=int)
+    if d:
+        cliques = np.vstack([np.arange(width), np.hstack([np.zeros((n + 1, 1), dtype=int), shifted])])
+    else:
+        cliques = np.array([[0, 1]])
+    k = cliques.shape[1]
+    first = 1 if d else 0  # the clique that ends with the first run
 
     # An entry takes the variable of the upper-triangle moment entry lo * D + hi
     # it mirrors; an entry (u, w) of a length-d word takes the variable of
-    # (u, first word of w's class), and M[u, u] = M[v, v] = 1 have none.
+    # (u, first word of w's class), and the diagonal entries M[u, u] = M[v, v] = 1 have none.
     rows, cols = cliques[:, :, None], cliques[:, None, :]
     owner = np.minimum(rows, cols) * dim + np.maximum(rows, cols)
-    owner[:, 0, width:] = owner[:, width:, 0] = width + _class_firsts(n, d)[private - width]
-    owner[:, 0, 0] = owner[:, 1, 1] = -1
+    owner[first:, 0, k - run :] = owner[first:, k - run :, 0] = width + _class_firsts(n, d)[private - width]
+    clique, position = np.nonzero(cliques <= 1)
+    owner[clique, position, position] = -1
     free = owner >= 0
     variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
 
-    # A canonical word has length d, so its entries (u, w) and (w, u) lie in one clique.
+    # A canonical word has length d, so its entries (u, w) and (w, u) lie in the clique of its run.
     objective = np.zeros(owner.shape)
     for s, c in p.coeffs.items():
         clique, j = divmod(word_index[canonical_word(s, d, n)] - width, run)
-        objective[clique, 0, width + j] = objective[clique, width + j, 0] = c / 2.0
+        objective[first + clique, 0, k - run + j] = objective[first + clique, k - run + j, 0] = c / 2.0
 
     return SdpProblem(
         dim=dim,
@@ -192,7 +207,7 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
         objective=objective,
         variable=variable,
         base=np.arange(1, width),
-        shifted=np.array([[word_index[(i,) + w] for w in words[: width - 1]] for i in range(1, n + 2)], dtype=int),
+        shifted=shifted,
         n=n,
         d=d,
         words=words,
@@ -284,9 +299,13 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     repaired point of the last check (its value is lower), the final rho,
     the number of changes and one history row per check.  Returns
     converged=False when the iteration budget is exhausted, with the
-    interval of the last iteration; callers decide whether that is fatal.  A tol that is not positive and finite, or a
+    interval of the last iteration; callers decide whether that is fatal.  A
+    tol that is a bool, not a real number, or not positive and finite, or a
     max_iters that is not an integer of at least 1, is a ValueError.
     """
+    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
+    tol = float(tol)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     max_iters = _integer(max_iters, "max_iters")
@@ -296,17 +315,14 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     n_cliques, k = prob.cliques.shape
     n_vec = n_cliques * k * k
 
-    # The layout gives each word's place in a clique: a separator word sits at
-    # its moment index, a length-d word j at width + (j - width) mod (k - width).
-    # Localizer i lies in clique i, so slack entry (a, b) of letter i + 1 is
-    # block entry loc_base[i, a, b] minus block entry loc_shift[i, a, b], as
-    # flat offsets into the stacked blocks (d = 0 has one clique and n + 1
+    # Clique 0 holds the words w at positions 1.. and clique i the words i w,
+    # so slack entry (a, b) of letter i is block entry loc_base[i-1, a, b] of
+    # clique 0 minus the same entry loc_shift[i-1, a, b] of clique i, as flat
+    # offsets into the stacked blocks (d = 0 has one clique and n + 1
     # localizers with no rows).
-    width = 1 + prob.base.size
-    shifted = np.where(prob.shifted < width, prob.shifted, width + (prob.shifted - width) % (k - width))
-    offset = k * k * np.arange(n_cliques)[:, None, None]
-    loc_base = offset + k * prob.base[:, None] + prob.base
-    loc_shift = offset + k * shifted[:, :, None] + shifted[:, None, :]
+    letters = prob.shifted.shape[0]
+    loc_base = np.broadcast_to(k * prob.base[:, None] + prob.base, (letters, prob.base.size, prob.base.size))
+    loc_shift = loc_base + k * k * np.arange(1, letters + 1)[:, None, None]
 
     def with_slacks(a):
         """The rows of a over the stacked blocks, followed by their localizer slack differences."""
@@ -436,23 +452,39 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     )
 
 
-def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
-    """The D x D moment matrix with the given clique blocks, completed through the separator.
+def _pinv_half(mats: np.ndarray) -> np.ndarray:
+    """H with H H^T the pseudo-inverse of each PSD matrix of a stack, cut at COMPLETION_RCOND."""
+    eigvals, eigvecs = np.linalg.eigh(mats)
+    keep = eigvals > COMPLETION_RCOND * eigvals[..., -1:]
+    scale = np.divide(1.0, np.sqrt(np.maximum(eigvals, 0.0)), out=np.zeros_like(eigvals), where=keep)
+    return eigvecs * scale[..., None, :]
 
-    The separator S is M[:width, :width]; the private parts P_i, P_j of two
-    cliques meet in M[P_i, S] M[S, S]^+ M[S, P_j], which is PSD when every
-    clique block is.
+
+def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
+    """The D x D moment matrix with the given clique blocks, completed along the clique tree.
+
+    Clique 0 is M[S, S] on the separator S = 0..width-1, and clique i meets it
+    in T_i, u and the words i w with |w| <= d-2; the private part P_i is the
+    rest of clique i.  First M[P_i, S] = X_i[P, T] X_i[T, T]^+ M[T_i, S],
+    keeping the given M[P_i, T_i]; then the private parts meet in
+    M[P_i, S] M[S, S]^+ M[S, P_j].  The result is PSD when every clique
+    block is.
     """
-    width = 1 + prob.base.size
-    run = blocks.shape[1] - width
-    cross = np.concatenate(blocks[:, :width, width:], axis=1)  # M[S, P], the runs in order
-    eigvals, eigvecs = np.linalg.eigh(blocks[0, :width, :width])
-    keep = eigvals > COMPLETION_RCOND * eigvals[-1]
-    half = cross.T @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
-    moment = np.block([[blocks[0, :width, :width], cross], [cross.T, half @ half.T]])
+    if prob.d == 0:
+        return blocks[0]
+    width = blocks.shape[1]
+    run = (prob.dim - width) // len(prob.shifted)
+    tie = prob.cliques[1:, : width - run]  # the moment indices of T_i, at the positions before the run
+    given = blocks[1:, width - run :, : width - run]  # X_i[P, T]
+    half = _pinv_half(blocks[1:, : width - run, : width - run])
+    cross = (given @ half) @ (np.swapaxes(half, 1, 2) @ blocks[0][tie])
+    np.put_along_axis(cross, tie[:, None, :], given, axis=2)
+    cross = cross.reshape(-1, width)  # M[P, S], the runs in order
+    half = cross @ _pinv_half(blocks[0])
+    moment = np.block([[blocks[0], cross.T], [cross, half @ half.T]])
     private = moment[width:, width:]
-    for i, block in enumerate(blocks):
-        private[i * run : (i + 1) * run, i * run : (i + 1) * run] = block[width:, width:]
+    for i, block in enumerate(blocks[1:]):
+        private[i * run : (i + 1) * run, i * run : (i + 1) * run] = block[width - run :, width - run :]
     return moment
 
 

@@ -134,9 +134,9 @@ class TestFcb:
         assert report["gap"] > 1e-6
 
     def test_residuals_are_the_last_check(self, maj3_file, capsys):
-        assert main(["fcb", maj3_file, "--d", "3", "--max-iters", "110"]) == 1
+        assert main(["fcb", maj3_file, "--d", "3", "--max-iters", "85"]) == 1
         report = json.loads(capsys.readouterr().out)
-        _, primal, dual, _, _ = sdp.solve_sdp(sdp.build_fcb_sdp(maj3(), 3), max_iters=110).history[-1]
+        _, primal, dual, _, _ = sdp.solve_sdp(sdp.build_fcb_sdp(maj3(), 3), max_iters=85).history[-1]
         assert (report["primal_residual"], report["dual_residual"]) == (primal, dual)
 
     def test_capacity_override(self, maj3_file, capsys, monkeypatch):

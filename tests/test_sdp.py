@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,21 +80,22 @@ PINNED_OPTIMA = [
 def reference_build(p, d):
     """The D x D construction of the clique program: the ten SdpProblem fields, in their order.
 
-    The separator is listed word by word, the private runs are gathered in a
-    dict keyed by first letter, the class ties come from enumerate_classes,
-    and the objective and variable owners are D x D tables sliced into the
-    clique stacks.
+    The cliques are listed word by word: the separator (u and the words of
+    length <= d-1), then for each letter i, u and the words i w of length
+    <= d; d = 0 has the one clique {u, v}.  The class ties come from
+    enumerate_classes, and the objective and variable owners are D x D
+    tables sliced into the clique stacks.
     """
     n = p.n
     words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
     word_index = {w: 1 + k for k, w in enumerate(words)}
     dim = 1 + len(words)
-    separator = [0] + [word_index[w] for w in words if len(w) < d]
-    private = {}
-    for w in words:
-        if len(w) == d:
-            private.setdefault(w[:1], []).append(word_index[w])
-    cliques = np.array([separator + members for members in private.values()])
+    short = [w for w in words if len(w) <= d - 1]
+    separator = [0] + [word_index[w] for w in short]
+    if d:
+        cliques = np.array([separator] + [[0] + [word_index[(i,) + w] for w in short] for i in range(1, n + 2)])
+    else:
+        cliques = np.array([[0, word_index[()]]])
     blocks = (cliques[:, :, None], cliques[:, None, :])
     objective = np.zeros((dim, dim))
     for s, c in p.coeffs.items():
@@ -109,7 +112,6 @@ def reference_build(p, d):
     free = owner >= 0
     variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
-    short = [w for w in words if len(w) <= d - 1]
     base = np.array([word_index[w] for w in short], dtype=int)
     shifted = np.array([[word_index[(i,) + w] for w in short] for i in range(1, n + 2)], dtype=int)
     return dim, cliques, objective[blocks], variable, base, shifted, n, d, words, word_index
@@ -139,38 +141,41 @@ class TestBuild:
                 if isinstance(expected, dict):
                     assert list(got.items()) == list(expected.items())
 
-    # Within a clique, u is row 0 and v row 1 of the dense clique block, so
-    # entry (u, w) of clique q sits at [q, 0, j] and [q, j, 0], where j is the
-    # column of w in the clique, and the fixed (v, v) entry at [q, 1, 1].
+    # Within a clique, u is row 0, and v is row 1 of clique 0 only, so entry
+    # (u, w) of clique q sits at [q, 0, j] and [q, j, 0], where j is the
+    # column of w in the clique, and the fixed (v, v) entry at [0, 1, 1].
 
     def test_single_variable_dimensions(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)
         assert prob.dim == 4  # u, v, v_(1), v_(2)
-        assert prob.cliques.tolist() == [[0, 1, 2], [0, 1, 3]]
-        assert prob.objective.shape == prob.variable.shape == (2, 3, 3)
-        # 9 covered entries (not the pair v_(1), v_(2)), no ties, two fixed diagonals
-        assert prob.variable.max() + 1 == 9 - 2
-        # (u, v_(1)) and its mirror image in clique 0 carry half the coefficient each
-        assert np.argwhere(prob.objective).tolist() == [[0, 0, 2], [0, 2, 0]]
-        assert prob.objective[0, 0, 2] == prob.objective[0, 2, 0] == 0.5
+        assert prob.cliques.tolist() == [[0, 1], [0, 2], [0, 3]]
+        assert prob.objective.shape == prob.variable.shape == (3, 2, 2)
+        # 7 covered entries (not the pairs of v, v_(1) and v_(2)), no ties, two fixed diagonals
+        assert prob.variable.max() + 1 == 7 - 2
+        # (u, v_(1)) and its mirror image in clique 1 carry half the coefficient each
+        assert np.argwhere(prob.objective).tolist() == [[1, 0, 1], [1, 1, 0]]
+        assert prob.objective[1, 0, 1] == prob.objective[1, 1, 0] == 0.5
 
     def test_equality_count_n2_d2(self):
         prob = build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
         assert prob.dim == 14
-        assert prob.cliques.shape == (3, 8)  # u, v, three length-1 words, three length-2 words
-        assert prob.variable.shape == (3, 8, 8)
-        assert [np.argwhere(block < 0).tolist() for block in prob.variable] == [[[0, 0], [1, 1]]] * 3
+        # clique 0: u, v and the three length-1 words; clique i: u, (i) and the three words (i, j)
+        assert prob.cliques.shape == (4, 5)
+        assert prob.variable.shape == (4, 5, 5)
+        assert [np.argwhere(block < 0).tolist() for block in prob.variable] == [[[0, 0], [1, 1]]] + [[[0, 0]]] * 3
         classes = enumerate_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
         assert sum(len(members) for members in classes.values()) == 9
         assert len(classes) == 4
-        # 78 of the 105 entries of the 14 x 14 upper triangle lie in a clique
-        assert prob.variable.max() + 1 == 78 - 2 - 5
-        # A separator entry has one variable in every clique: (u, v_(1)) is entry (0, 2).
-        assert len(set(prob.variable[:, 0, 2])) == 1
+        # 15 entries of the upper triangle in clique 0, and 12 more in each
+        # clique i, which meets clique 0 in u and (i): 51 of the 105 entries
+        assert prob.variable.max() + 1 == 51 - 2 - 5
+        # An entry that clique 0 shares with clique i has one variable in both:
+        # (u, v_(i)) is entry (0, 1 + i) of clique 0 and entry (0, 1) of clique i.
+        assert [prob.variable[i, 0, 1] for i in (1, 2, 3)] == [prob.variable[0, 0, 1 + i] for i in (1, 2, 3)]
         # Entry (u, w) of a length-2 word sits in the clique of its first letter.
         column = {(k, int(j)): c for k, clique in enumerate(prob.cliques) for c, j in enumerate(clique)}
         shared = [
-            {prob.variable[w[0] - 1, 0, column[w[0] - 1, prob.word_index[w]]] for w in members}
+            {prob.variable[w[0], 0, column[w[0], prob.word_index[w]]] for w in members}
             for members in classes.values()
         ]
         assert all(len(ids) == 1 for ids in shared)
@@ -188,11 +193,12 @@ class TestBuild:
     @pytest.mark.parametrize("n, d", [(2, 0), (1, 1), (2, 2), (3, 3)])
     def test_cliques_cover_every_constraint(self, n, d):
         # Grone's completion theorem needs every entry that the objective, a
-        # class tie, a fixed diagonal or a localizer touches to lie in one clique.
+        # class tie, a fixed diagonal or a localizer touches to lie in one
+        # clique, and the cliques to form a clique tree.
         full = {s: 1.0 for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)}
         prob = build_fcb_sdp(Polynomial(n, full), d)
-        short = sum((n + 1) ** s for s in range(d))
-        assert prob.cliques.shape == ((n + 1, 1 + short + (n + 1) ** (d - 1)) if d else (1, 2))
+        width = 1 + sum((n + 1) ** s for s in range(d))
+        assert prob.cliques.shape == ((n + 2, width) if d else (1, 2))
         cliques = [set(clique.tolist()) for clique in prob.cliques]
 
         def inside(indices):
@@ -208,11 +214,17 @@ class TestBuild:
         assert all(inside(shifted) for shifted in prob.shifted)
         # Each coefficient is placed once, on one clique entry and its mirror image.
         assert np.count_nonzero(prob.objective) == 2 * len(full)
-        # The cliques cover every index and meet only in their common separator.
+        # The cliques cover every index.  For d >= 1 clique 0 is the separator
+        # and meets clique i in T_i, u and the words i w with |w| <= d-2; two
+        # cliques i, j >= 1 meet only in u.
         assert set.union(*cliques) == set(range(prob.dim))
-        assert all(a & b == set(prob.cliques[0, : 1 + short].tolist()) for a, b in itertools.combinations(cliques, 2))
+        assert cliques[0] == set(range(width if d else 2))
+        for i, clique in enumerate(cliques[1:], start=1):
+            tie = {u} | {prob.word_index[(i,) + w] for w in prob.words if len(w) <= d - 2}
+            assert cliques[0] & clique == tie
+        assert all(a & b == {u} for a, b in itertools.combinations(cliques[1:], 2))
         covered = {(min(a, b), max(a, b)) for clique in prob.cliques for a in clique for b in clique}
-        assert len(covered) == {(2, 0): 3, (1, 1): 9, (2, 2): 78, (3, 3): 2205}[n, d]
+        assert len(covered) == {(2, 0): 3, (1, 1): 7, (2, 2): 51, (3, 3): 1181}[n, d]
 
     def test_zero_polynomial_objective(self):
         prob = build_fcb_sdp(Polynomial(2, {}), 2)
@@ -294,8 +306,8 @@ class TestSolveAnchors:
         assert [check.split(":")[0] for check in checks] == ["iteration 70", "iteration 75", "iteration 80"]
 
     def test_history_has_one_row_per_check(self):
-        sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=110)
-        assert [row[0] for row in sol.history] == list(range(5, 111, 5))
+        sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=85)
+        assert [row[0] for row in sol.history] == list(range(5, 86, 5))
         iteration, primal, dual, rho, seconds = sol.history[-1]
         assert rho > 0.0
         assert all(a[4] <= b[4] for a, b in zip(sol.history, sol.history[1:]))
@@ -304,6 +316,17 @@ class TestSolveAnchors:
     def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), tol=tol, max_iters=50)
+
+    @pytest.mark.parametrize("tol", [True, np.True_, "1e-6", None, 1e-6 + 0j])
+    def test_rejects_tolerance_that_is_not_a_real_number(self, tol):
+        # tol=True once ran at tol 1.0 and stopped after 5 iterations with the
+        # interval [0.857, 1.291]; "1e-6" raised a bare TypeError.
+        with pytest.raises(ValueError, match=re.escape(f"tol must be a real number, got {tol!r}")):
+            solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), tol=tol, max_iters=50)
+
+    def test_takes_numpy_float_tolerance(self):
+        sol = solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), tol=np.float32(1e-6))
+        assert sol.converged and sol.upper - sol.lower <= 1e-6
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_rejects_empty_iteration_budget(self, max_iters):
@@ -445,6 +468,41 @@ class TestCertifiedInterval:
         value = sum(c * sol.moment[0, prob.word_index[canonical_word(s, 2, p.n)]] for s, c in p.coeffs.items())
         assert value == pytest.approx(sol.value, abs=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 4), d=st.integers(0, 3), max_iters=st.integers(1, 150), data=st.data())
+    def test_completion_keeps_the_clique_blocks_and_is_psd(self, n, d, max_iters, data):
+        # The repaired point of a solve stopped at a random budget, converged or not.
+        monomials = [s for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)]
+        values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(monomials), max_size=len(monomials)))
+        prob = build_fcb_sdp(Polynomial(n, dict(zip(monomials, values))), d)
+        with mock.patch.object(sdp, "_complete", wraps=sdp._complete) as complete:
+            sol = solve_sdp(prob, max_iters=max_iters)
+        blocks = complete.call_args.args[1]
+        m = sol.moment
+        assert m.shape == (prob.dim, prob.dim) and np.array_equal(m, m.T)
+        for clique, block in zip(prob.cliques, blocks, strict=True):
+            assert np.array_equal(m[np.ix_(clique, clique)], block)
+        eigvals = np.linalg.eigvalsh(m)
+        assert eigvals[0] >= -1e-9 * max(1.0, np.abs(eigvals).max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 4), d=st.integers(0, 3), data=st.data())
+    def test_completion_of_low_rank_gram_blocks(self, n, d, data):
+        # The clique blocks of a random Gram matrix V V^T of any rank agree on
+        # their shared entries and are PSD, often singular, so a completion
+        # that leaves the clique tree (a zero fill of M[P_i, S \ T_i], or
+        # M[S, S]^+ taken as the identity) has a clearly negative eigenvalue.
+        prob = build_fcb_sdp(Polynomial(n, {}), d)
+        rank = data.draw(st.integers(1, prob.dim))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vectors = rng.standard_normal((prob.dim, rank))
+        blocks = (vectors @ vectors.T)[prob.cliques[:, :, None], prob.cliques[:, None, :]]
+        m = sdp._complete(prob, blocks)
+        for clique, block in zip(prob.cliques, blocks, strict=True):
+            assert np.array_equal(m[np.ix_(clique, clique)], block)
+        eigvals = np.linalg.eigvalsh(m)
+        assert eigvals[0] >= -1e-9 * max(1.0, np.abs(eigvals).max())
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(1, 3),
@@ -467,13 +525,14 @@ class TestCertifiedInterval:
             fcb_norm(Polynomial(1, {(1,): 1.0}), 1, max_iters=3)
 
     def test_convergence_error_names_the_last_gap(self):
-        # maj3 at d=3 passes its residuals from iteration 105 and closes its gap at 120.
-        sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=110)
+        # maj3 at d=3 passes its residuals from iteration 80 and closes its gap at 90.
+        sol = solve_sdp(build_fcb_sdp(maj3(), 3), max_iters=85)
         assert not sol.converged
+        assert all(primal <= 1e-6 and dual <= 1e-6 for _, primal, dual, _, _ in sol.history[-2:])
         gap = sol.upper - sol.lower
         assert 1e-6 < gap
-        with pytest.raises(ConvergenceError, match=f": certified gap {gap:.2e} at iteration 110 "):
-            fcb_norm(maj3(), 3, max_iters=110)
+        with pytest.raises(ConvergenceError, match=f": certified gap {gap:.2e} at iteration 85 "):
+            fcb_norm(maj3(), 3, max_iters=85)
 
 
 class TestProperties:
