@@ -176,10 +176,7 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     run = (n + 1) ** (d - 1) if d else 1
     private = np.arange(width, dim).reshape(-1, run)
     shifted = np.array([[word_index[(i,) + w] for w in words[: width - 1]] for i in range(1, n + 2)], dtype=int)
-    if d:
-        cliques = np.vstack([np.arange(width), np.hstack([np.zeros((n + 1, 1), dtype=int), shifted])])
-    else:
-        cliques = np.array([[0, 1]])
+    cliques = np.vstack([np.arange(width), np.insert(shifted, 0, 0, axis=1)]) if d else np.array([[0, 1]])
     k = cliques.shape[1]
     first = 1 if d else 0  # the clique that ends with the first run
 
