@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import sigma_max
-from .poly import BlockMultilinearPolynomial, Polynomial, Subset, _sign_vector
+from .poly import BlockMultilinearPolynomial, Polynomial, Subset, _integer, _sign_vector
 
 Word = tuple[int, ...]
 
@@ -99,6 +99,7 @@ class Witness:
             raise ValueError("u, v must match the matrix dimension")
         if a.shape[0] < 2:
             raise ValueError("need at least one variable letter plus the frozen letter")
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d < 0:
             raise ValueError("degree must be nonnegative")
         object.__setattr__(self, "u", u)

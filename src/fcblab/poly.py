@@ -30,7 +30,7 @@ MAX_DENSE_VARS = 20
 
 
 def _canonical_subset(key: Iterable[int], n: int) -> Subset:
-    s = tuple(sorted(int(i) for i in key))
+    s = tuple(sorted(_integer(i, "a subset entry") for i in key))
     for a, b in zip(s, s[1:]):
         if a == b:
             raise ValueError(f"coefficient key {s} has a repeated variable")
@@ -47,7 +47,7 @@ def _finite(val, key) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """A size argument as an int; bools and floats (even 2.0) are refused, NumPy integers taken."""
+    """A size or index argument as an int; bools and floats (even 2.0) are refused, NumPy integers taken."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -76,6 +76,7 @@ class Polynomial:
     coeffs: dict[Subset, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         clean: dict[Subset, float] = {}
@@ -132,11 +133,13 @@ class BlockMultilinearPolynomial:
     coeffs: dict[BmlKey, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
         clean: dict[BmlKey, float] = {}
         for key, val in self.coeffs.items():
-            pairs = tuple(sorted((int(b), int(i)) for b, i in key))
+            pairs = tuple(sorted((_integer(b, "a block"), _integer(i, "an index")) for b, i in key))
             blocks = [b for b, _ in pairs]
             if any(x == y for x, y in zip(blocks, blocks[1:])):
                 raise ValueError(f"key {pairs} uses a block twice")
@@ -305,7 +308,7 @@ def restrict(p: Polynomial, i: int, y: int) -> Polynomial:
 
     The restricted coefficients satisfy q_hat(S) = p_hat(S) + y*p_hat(S+{i}).
     """
-    if not (1 <= i <= p.n):
+    if not (1 <= _integer(i, "i") <= p.n):
         raise IndexError(f"variable {i} out of range for n={p.n}")
     ys = float(y)
     if ys not in (-1.0, 1.0):
@@ -323,7 +326,7 @@ def restrict(p: Polynomial, i: int, y: int) -> Polynomial:
 
 def degree_part(p, s: int):
     """Keep exactly the coefficients of degree s (works for both polynomial types)."""
-    if s < 0:
+    if _integer(s, "s") < 0:
         raise ValueError("degree part index must be nonnegative")
     if isinstance(p, Polynomial):
         return Polynomial(p.n, {k: v for k, v in p.coeffs.items() if len(k) == s})
@@ -347,7 +350,7 @@ def _greedy_walk(p: Polynomial, y: Sequence[int], budget: int) -> tuple[Polynomi
     queried indices, numbered as in the original polynomial.
     """
     sy = _sign_vector(y, p.n)
-    if not (0 <= budget <= p.n):
+    if not (0 <= _integer(budget, "budget") <= p.n):
         raise ValueError(f"budget must lie in [0, {p.n}]")
     current = p
     remaining = list(range(1, p.n + 1))

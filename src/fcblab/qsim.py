@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ModelViolationError
-from .poly import Polynomial, _dense_polynomial, _fwht, _mask_subset, _sign_vector
+from .poly import Polynomial, _dense_polynomial, _fwht, _integer, _mask_subset, _sign_vector
 
 UNITARITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-10
@@ -42,7 +42,7 @@ SIMULATION_BLOCK = 256  # points per stack of states: at most 256 * MAX_STATE_DI
 
 def _state_dim(n: int, d: int, w: int) -> int:
     # (n+1)*w once the sizes pass, before any unitary of that dimension is drawn or checked
-    if n < 1 or d < 0 or w < 1:
+    if _integer(n, "n") < 1 or _integer(d, "d") < 0 or _integer(w, "w") < 1:
         raise ValueError("need n >= 1, d >= 0, w >= 1")
     dim = (n + 1) * w
     if dim > MAX_STATE_DIM:
@@ -82,6 +82,8 @@ class QueryAlgorithm:
     observable: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "w"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         dim = _state_dim(self.n, self.d, self.w)
         if len(self.unitaries) != self.d + 1:
             raise ValueError(f"expected {self.d + 1} unitaries, got {len(self.unitaries)}")

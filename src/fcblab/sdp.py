@@ -42,7 +42,9 @@ are x = x0 + T y, with x0 holding the fixed ones and T the 0/1 map from the
 free variables y to their entries.  A localizer slack is the base selection
 of clique 0 minus the same selection of its letter's clique, so the blocks
 and slacks of x are g0 + G y, with G = [T; T[base] - T[shift]] and g0 the
-same gather of x0.
+same gather of x0.  The problem carries the flat offsets of the two
+selections and the central point of the lower end, so that the solver
+reads no word layout.
 
 The solver is an in-house consensus ADMM on y: each iteration performs a
 sparse linear solve with G^T G (the only place the objective enters), one
@@ -70,11 +72,11 @@ the optimum, and the solve stops once upper - lower <= tol (absolute);
 otherwise it runs on.
 - Lower end: the solver's point x = x0 + T y meets every tie exactly, so
   only its cones can be violated.  The central point x_c = diag(1 at u,
-  2^{-|w|} at word w) meets every tie, has value 0, and each of its blocks
-  and slacks has least eigenvalue at least 2^{-d}.  By Weyl's inequality
-  (1 - t) x + t x_c is feasible for t = max(-lambda / (2^{-d} - lambda))
-  over the least eigenvalues lambda < 0 of the blocks and slacks of x, and
-  its value (1 - t) c.x is the lower end.
+  2^{-|w|} at word w) meets every tie and has value 0; the solver measures
+  the least eigenvalue lambda_c (2^{-d}) of its blocks and slacks.  By
+  Weyl's inequality (1 - t) x + t x_c is feasible for t = max(-lambda /
+  (lambda_c - lambda)) over the least eigenvalues lambda < 0 of the blocks
+  and slacks of x, and its value (1 - t) c.x is the lower end.
 - Upper end: weak duality for a multiplier L (Jansson, Chaykin & Keil,
   SIAM J. Numer. Anal. 46, 2007).  L = rho (z - v), the negated scaled
   dual, is corrected by one solve with the factor already at hand so that
@@ -120,21 +122,25 @@ COMPLETION_RCOND = 1e-12  # relative cut-off of the pseudo-inverses in the compl
 
 @dataclass
 class SdpProblem:
-    dim: int
-    # (n+2, width), one row of moment indices per clique: row 0 is the separator
-    # 0..width-1 (u and the words of length <= d-1), row i is 0 and then shifted[i-1],
-    # ending with the i-th run of length-d words; d = 0 has the one row [0, 1].
-    cliques: np.ndarray
+    # The program, which is all that solve_sdp reads:
     # (n+2, width, width), symmetric: p_hat(S)/2 on the entries (u, w) and (w, u) of the
     # canonical word w of S, so that sum(objective * blocks) = sum_S p_hat(S) M[u, w].
     objective: np.ndarray
     # (n+2, width, width), symmetric: the index of each entry's free variable; -1 where it is fixed at 1.
     variable: np.ndarray
+    # (2, n+1, |W0|, |W0|), flat offsets into the stacked blocks: localizer slack i-1 is the
+    # entries localizers[0, i-1] of clique 0 minus the entries localizers[1, i-1] of clique i.
+    localizers: np.ndarray
+    central: np.ndarray  # shaped as cliques: the diagonal of the central point, 1 at u and 2^{-|w|} at a word w
+    dim: int  # the fcb layout from here on, which only _complete and extract_witness read
+    # (n+2, width), one row of moment indices per clique: row 0 is the separator
+    # 0..width-1 (u and the words of length <= d-1), row i is 0 and then shifted[i-1],
+    # ending with the i-th run of length-d words; d = 0 has the one row [0, 1].
+    cliques: np.ndarray
     base: np.ndarray  # (|W0|,): the moment indices 1..width-1 of the words w of length <= d-1
     shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the indices of the words i w, clique i after u
     n: int
     d: int
-    words: list[Word]
     word_index: dict[Word, int]
 
 
@@ -198,16 +204,20 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
         clique, j = divmod(word_index[canonical_word(s, d, n)] - width, run)
         objective[first + clique, 0, k - run + j] = objective[first + clique, k - run + j, 0] = c / 2.0
 
+    # Localizer slack i-1 is the words w of clique 0 minus the words i w of clique i, at positions 1..width-1.
+    base = np.arange(1, width)
+    localizers = k * k * np.outer(np.arange(2), np.arange(1, n + 2))[:, :, None, None] + k * base[:, None] + base
     return SdpProblem(
-        dim=dim,
-        cliques=cliques,
         objective=objective,
         variable=variable,
-        base=np.arange(1, width),
+        localizers=localizers,
+        central=0.5 ** np.array([0] + [len(w) for w in words])[cliques],
+        dim=dim,
+        cliques=cliques,
+        base=base,
         shifted=shifted,
         n=n,
         d=d,
-        words=words,
         word_index=word_index,
     )
 
@@ -309,17 +319,9 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     start = time.perf_counter()
-    n_cliques, k = prob.cliques.shape
+    n_cliques, k, _ = prob.variable.shape
     n_vec = n_cliques * k * k
-
-    # Clique 0 holds the words w at positions 1.. and clique i the words i w,
-    # so slack entry (a, b) of letter i is block entry loc_base[i-1, a, b] of
-    # clique 0 minus the same entry loc_shift[i-1, a, b] of clique i, as flat
-    # offsets into the stacked blocks (d = 0 has one clique and n + 1
-    # localizers with no rows).
-    letters = prob.shifted.shape[0]
-    loc_base = np.broadcast_to(k * prob.base[:, None] + prob.base, (letters, prob.base.size, prob.base.size))
-    loc_shift = loc_base + k * k * np.arange(1, letters + 1)[:, None, None]
+    loc_base, loc_shift = prob.localizers  # slack i-1 is the blocks at loc_base[i-1] minus those at loc_shift[i-1]
 
     def with_slacks(a):
         """The rows of a over the stacked blocks, followed by their localizer slack differences."""
@@ -357,13 +359,10 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
             [np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))[:, 0] for s in stacks(vec) if s.size]
         )
 
-    # The central point x_c of the lower end; its blocks and slacks have
-    # least eigenvalue at least 2^{-d}.  A block's size bounds its trace on
-    # the feasible set (in the order of least_eigenvalues).
-    length = np.array([0] + [len(w) for w in prob.words])
-    central = np.where(prob.cliques == 0, 1.0, 0.5 ** length[prob.cliques])
-    x_central = (central[:, :, None] * np.eye(k)).reshape(-1)
-    central_least = 0.5**prob.d
+    # The central point of the lower end and its least eigenvalue; a block's size
+    # bounds its trace on the feasible set (in the order of least_eigenvalues).
+    x_central = (prob.central[:, :, None] * np.eye(k)).reshape(-1)
+    central_least = least_eigenvalues(np.concatenate(with_slacks(x_central))).min()
     sizes = np.concatenate([np.full(len(s), s.shape[1]) for s in stacks(g0) if s.size])
 
     def interval(g: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
@@ -373,12 +372,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         dual = rho * (z - v)
         dual -= G @ solver.solve(Gt @ dual + cy)
         excess = Gt @ dual + cy
-        upper = (
-            c @ x0
-            + dual @ g0
-            + sizes @ np.maximum(-least_eigenvalues(dual), 0.0)
-            + np.abs(excess).sum()
-        )
+        upper = c @ x0 + dual @ g0 + sizes @ np.maximum(-least_eigenvalues(dual), 0.0) + np.abs(excess).sum()
         return (1.0 - t) * float(c @ g[:n_vec]), float(upper), t
 
     # The state is the point v that the projection is applied to: z = P(v) is
@@ -431,9 +425,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 
     # The repaired point: feasible up to the rounding of the eigenvalues.
     x = (1.0 - t) * (x0 + T @ y) + t * x_central
-    min_slack = 0.0
-    if loc_shift.size:
-        min_slack = float(np.linalg.eigvalsh(x[loc_base] - x[loc_shift]).min())
+    min_slack = float(np.linalg.eigvalsh(x[loc_base] - x[loc_shift]).min()) if loc_shift.size else 0.0
 
     return SdpSolution(
         value=lower,

@@ -26,6 +26,7 @@ from fcblab import (
     word_class,
 )
 from fcblab.behavior import _chain_values, _class_firsts
+from fcblab.fileio import load_witness, save_witness
 from fcblab.poly import BlockMultilinearPolynomial
 
 from conftest import all_points, maj3, random_poly
@@ -150,6 +151,20 @@ class TestClassFirsts:
     def test_cancelled_pairs_and_runs(self, n, word, first):
         assert word_class(word, n) == word_class(first, n)
         assert _class_firsts(n, len(word))[word_rank(word, n)] == word_rank(first, n)
+
+
+class TestWitness:
+    @pytest.mark.parametrize("d", [1.5, 2.0, True])
+    def test_degree_must_be_an_integer(self, d):
+        # d = 1.5 once built, and save_witness wrote a file that load_witness refuses.
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer, got {d!r}")):
+            Witness(d=d, u=np.ones(1), v=np.ones(1), A=np.ones((2, 1, 1)))
+
+    def test_numpy_integer_degree_is_an_int(self, tmp_path):
+        w = Witness(d=np.int64(2), u=np.ones(1), v=np.ones(1), A=np.ones((2, 1, 1)))
+        assert type(w.d) is int
+        save_witness(w, tmp_path / "w.json")
+        assert load_witness(tmp_path / "w.json").d == 2
 
 
 class TestVerifyBb:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fcblab import (
     statistics,
     sup_norm_bruteforce,
 )
+from fcblab.fileio import load_bml, load_polynomial, save_bml, save_polynomial
 from fcblab.poly import _dense_polynomial, _mask_subset
 
 from conftest import all_points, brute_force_coeffs, maj3, random_poly
@@ -182,6 +184,12 @@ class TestRestrict:
         with pytest.raises(IndexError):
             restrict(maj3(), 4, 1)
 
+    @pytest.mark.parametrize("i", [1.5, 2.0, True])
+    def test_rejects_non_integer_variable(self, i):
+        # True once fixed x1, and 1.5 failed on a key with a repeated variable.
+        with pytest.raises(ValueError, match=re.escape(f"i must be an integer, got {i!r}")):
+            restrict(maj3(), i, 1)
+
 
 class TestDegreePart:
     def test_mixed(self):
@@ -194,6 +202,12 @@ class TestDegreePart:
 
     def test_empty_level(self):
         assert degree_part(maj3(), 2).coeffs == {}
+
+    @pytest.mark.parametrize("s", [1.5, 1.0, True])
+    def test_rejects_non_integer_degree(self, s):
+        # 1.5 once returned the zero polynomial, and True the degree-1 part.
+        with pytest.raises(ValueError, match=re.escape(f"s must be an integer, got {s!r}")):
+            degree_part(maj3(), s)
 
 
 class TestSpectralL1:
@@ -224,6 +238,12 @@ class TestGreedySimulate:
     def test_budget_out_of_range(self):
         with pytest.raises(ValueError):
             greedy_simulate(maj3(), (1, 1, 1), 4)
+
+    @pytest.mark.parametrize("budget", [True, 1.5, 2.0])
+    def test_budget_must_be_an_integer(self, budget):
+        # True once ran as a budget of 1, and 1.5 raised a bare TypeError from range().
+        with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, got {budget!r}")):
+            greedy_simulate(maj3(), (1, 1, 1), budget)
 
     def test_full_budget_reproduces_evaluate(self, rng):
         for _ in range(25):
@@ -324,6 +344,48 @@ class TestValidation:
             Polynomial(1, {(1,): float("inf")})
         with pytest.raises(ValueError, match="not finite"):
             BlockMultilinearPolynomial(1, 1, {((1, 1),): float("nan")})
+
+    @pytest.mark.parametrize(
+        "n, key, message",
+        [
+            (2, (1.5,), "a subset entry must be an integer, got 1.5"),  # once read as x1
+            (2, (1, True), "a subset entry must be an integer, got True"),
+            (2.5, (1,), "n must be an integer, got 2.5"),  # once a bare TypeError in statistics
+            (2.0, (1,), "n must be an integer, got 2.0"),
+            (True, (1,), "n must be an integer, got True"),  # once saved a file that load_polynomial refuses
+        ],
+        ids=["float-entry", "bool-entry", "float-n", "whole-float-n", "bool-n"],
+    )
+    def test_polynomial_sizes_and_keys_must_be_integers(self, n, key, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial(n, {key: 1.0})
+
+    @pytest.mark.parametrize(
+        "n, d, key, message",
+        [
+            (2, 2, ((1, 1.5),), "an index must be an integer, got 1.5"),  # once truncated to variable (1, 1)
+            (2, 2, ((1.0, 1),), "a block must be an integer, got 1.0"),
+            (2, 2, ((np.True_, 1),), f"a block must be an integer, got {np.True_!r}"),
+            (2, True, ((1, 1),), "d must be an integer, got True"),  # once saved a file that load_bml refuses
+            (2.5, 2, ((1, 1),), "n must be an integer, got 2.5"),
+        ],
+        ids=["float-index", "float-block", "numpy-bool-block", "bool-d", "float-n"],
+    )
+    def test_block_multilinear_sizes_and_keys_must_be_integers(self, n, d, key, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BlockMultilinearPolynomial(n, d, {key: 1.0})
+
+    def test_numpy_integer_sizes_and_keys_are_ints(self, tmp_path):
+        # n = np.int64(2) was once kept, and json could not save it.
+        p = Polynomial(np.int64(2), {(np.int32(2), np.int64(1)): 1.0})
+        assert type(p.n) is int and list(p.coeffs) == [(1, 2)] and all(type(i) is int for i in next(iter(p.coeffs)))
+        save_polynomial(p, tmp_path / "p.json")
+        assert load_polynomial(tmp_path / "p.json") == p
+        q = BlockMultilinearPolynomial(np.int64(2), np.int64(3), {((np.int64(3), np.int8(2)),): 1.0})
+        assert type(q.n) is int and type(q.d) is int
+        assert all(type(x) is int for key in q.coeffs for pair in key for x in pair)
+        save_bml(q, tmp_path / "q.json")
+        assert load_bml(tmp_path / "q.json") == q
 
     def test_degree_of_zero_polynomial(self):
         assert Polynomial(3, {}).degree == 0

@@ -17,6 +17,8 @@ from fcblab import (
     sdp,
 )
 
+from fcblab.fileio import save_polynomial
+
 from conftest import all_points
 
 
@@ -62,11 +64,27 @@ class TestRandomAlgorithm:
             (10, 1, 1000, CapacityError),
             (2, -1, 1, ValueError),
             (0, 1, 1, ValueError),
+            (2, 1, True, ValueError),  # once drew a 3-dimensional algorithm, as w = 1
+            (2, 1, 1.5, ValueError),
+            (2, 1.0, 1, ValueError),
+            (2.0, 1, 1, ValueError),
         ],
     )
     def test_sizes_checked_before_drawing(self, no_unitary_draws, n, d, w, error):
         with pytest.raises(error):
             random_algorithm(n, d, w, 0)
+
+    def test_non_integer_size_is_named(self):
+        with pytest.raises(ValueError, match="w must be an integer, got True"):
+            random_algorithm(2, 1, True, 0)
+        with pytest.raises(ValueError, match="d must be an integer, got 1.0"):
+            QueryAlgorithm(n=2, d=1.0, w=1, unitaries=(), observable=np.eye(3))
+
+    def test_numpy_integer_sizes_are_ints(self, tmp_path):
+        # n = np.int64(2) was once kept, and json could not save the extracted polynomial.
+        alg = random_algorithm(np.int64(2), np.int64(1), np.int64(1), 0)
+        assert all(type(size) is int for size in (alg.n, alg.d, alg.w))
+        save_polynomial(extract_polynomial(alg), tmp_path / "p.json")
 
     def test_stored_matrices_checked_before_drawing(self, no_unitary_draws):
         # 62 matrices of dimension 1100 would hold 75,020,000 entries.

@@ -78,13 +78,15 @@ PINNED_OPTIMA = [
 
 
 def reference_build(p, d):
-    """The D x D construction of the clique program: the ten SdpProblem fields, in their order.
+    """The D x D construction of the clique program: the SdpProblem fields, in their order.
 
     The cliques are listed word by word: the separator (u and the words of
     length <= d-1), then for each letter i, u and the words i w of length
     <= d; d = 0 has the one clique {u, v}.  The class ties come from
     enumerate_classes, and the objective and variable owners are D x D
-    tables sliced into the clique stacks.
+    tables sliced into the clique stacks.  The localizer offsets look up the
+    position of each word w in clique 0 and of each word i w in clique i, and
+    the central point's diagonal is 2^{-|w|} at each word w of each clique.
     """
     n = p.n
     words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
@@ -112,9 +114,21 @@ def reference_build(p, d):
     free = owner >= 0
     variable = np.full(owner.shape, -1)
     variable[free] = np.unique(owner[free], return_inverse=True)[1]
+    k = cliques.shape[1]
+    column = [{j: c for c, j in enumerate(clique)} for clique in cliques.tolist()]
+
+    def selection(clique, prefix):
+        """The flat offsets in the stacked blocks of the entries (prefix a, prefix b) of the clique."""
+        position = [column[clique][word_index[prefix + a]] for a in short]
+        return [[(clique * k + a) * k + b for b in position] for a in position]
+
+    localizers = np.array([[selection(0, ())] * (n + 1), [selection(i, (i,)) for i in range(1, n + 2)]], dtype=int)
+    localizers = localizers.reshape(2, n + 1, len(short), len(short))  # d = 0 has no short words
+    length = {0: 0} | {word_index[w]: len(w) for w in words}
+    central = np.array([[0.5 ** length[j] for j in clique] for clique in cliques.tolist()])
     base = np.array([word_index[w] for w in short], dtype=int)
     shifted = np.array([[word_index[(i,) + w] for w in short] for i in range(1, n + 2)], dtype=int)
-    return dim, cliques, objective[blocks], variable, base, shifted, n, d, words, word_index
+    return objective[blocks], variable, localizers, central, dim, cliques, base, shifted, n, d, word_index
 
 
 BUILD_SHAPES = [
@@ -136,7 +150,7 @@ class TestBuild:
             got = getattr(prob, field.name)
             if isinstance(expected, np.ndarray):
                 assert got.dtype == expected.dtype and np.array_equal(got, expected), field.name
-            else:  # the word list and the index, in the same order
+            else:  # the sizes and the word index, in the same order
                 assert type(got) is type(expected) and got == expected, field.name
                 if isinstance(expected, dict):
                     assert list(got.items()) == list(expected.items())
@@ -220,7 +234,7 @@ class TestBuild:
         assert set.union(*cliques) == set(range(prob.dim))
         assert cliques[0] == set(range(width if d else 2))
         for i, clique in enumerate(cliques[1:], start=1):
-            tie = {u} | {prob.word_index[(i,) + w] for w in prob.words if len(w) <= d - 2}
+            tie = {u} | {prob.word_index[(i,) + w] for w in list(prob.word_index) if len(w) <= d - 2}
             assert cliques[0] & clique == tie
         assert all(a & b == {u} for a, b in itertools.combinations(cliques[1:], 2))
         covered = {(min(a, b), max(a, b)) for clique in prob.cliques for a in clique for b in clique}
@@ -236,7 +250,7 @@ class TestBuild:
 
     def test_localizer_rows_cover_short_words(self):
         prob = build_fcb_sdp(Polynomial(2, {(1,): 1.0}), 2)
-        short = [w for w in prob.words if len(w) <= 1]
+        short = [w for w in list(prob.word_index) if len(w) <= 1]
         assert prob.base.tolist() == [prob.word_index[w] for w in short]
         assert prob.shifted.tolist() == [[prob.word_index[(i,) + w] for w in short] for i in (1, 2, 3)]
 
@@ -342,6 +356,22 @@ class TestSolveAnchors:
     def test_takes_numpy_integer_iteration_budget(self):
         sol = solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1), max_iters=np.int64(5))
         assert sol.iterations == 5
+
+    @pytest.mark.parametrize(
+        "p, d", [(Polynomial(2, {(): 0.5}), 0), (PANEL_N3, 2), (maj3(), 3), (Polynomial(2, {(1, 2): 1.0}), 4)]
+    )
+    def test_solver_reads_only_the_program(self, p, d):
+        # The fcb layout fields are cleared; only the completion, stubbed here, may read them.
+        # d = 0 has localizers with no rows, and at d = 4 the cliques are 41 wide.
+        prob = build_fcb_sdp(p, d)
+        layout = dict.fromkeys(["dim", "cliques", "base", "shifted", "n", "d", "word_index"])
+        with mock.patch.object(sdp, "_complete") as complete:
+            bare = solve_sdp(dataclasses.replace(prob, **layout))
+        assert complete.call_count == 1
+        full = solve_sdp(prob)
+        for name in ("lower", "upper", "iterations", "rho", "penalty_changes"):
+            assert getattr(bare, name) == getattr(full, name), name
+        assert [row[:4] for row in bare.history] == [row[:4] for row in full.history]
 
     def test_slow_drift_instance_converges_quickly(self):
         # Instance k=6 of acceptance criterion 5.  An over-relaxed ADMM with
