@@ -97,8 +97,8 @@ class Witness:
             raise ValueError("A must be a stack of square matrices")
         if u.shape != (a.shape[1],) or v.shape != (a.shape[1],):
             raise ValueError("u, v must match the matrix dimension")
-        if a.shape[0] < 2:
-            raise ValueError("need at least one variable letter plus the frozen letter")
+        if a.shape[0] < 1:  # n = 0, a constant, has the frozen letter alone
+            raise ValueError("need the matrix of the frozen letter")
         object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d < 0:
             raise ValueError("degree must be nonnegative")

@@ -34,6 +34,7 @@ def _num(value: float) -> str:
 
 def _cmd_analyze(args) -> int:
     p = fileio.load_polynomial(args.input)
+    sup_norm = sup_norm_bruteforce(p)  # first: its guard refuses a large n before statistics allocates O(n)
     st = statistics(p)
     report = {
         "n": p.n,
@@ -43,7 +44,7 @@ def _cmd_analyze(args) -> int:
         "influences": list(st.influences),
         "max_influence": st.max_influence,
         "argmax_variable": st.argmax_variable,
-        "sup_norm": sup_norm_bruteforce(p),
+        "sup_norm": sup_norm,
         "spectral_l1": spectral_l1(p),
     }
     if args.greedy is not None:

@@ -7,7 +7,8 @@ Witness:         {"m": int, "d": int, "u": [...], "v": [...], "A": [[[...]]]}
                  with A indexed 1..n+1, matrices row-major.
 Certificate:     witness fields plus {"kind", "certified_value",
                  "implied_bound", "s_or_D"}; block-multilinear witnesses use
-                 "A_blocks" (d x n matrices) instead of "A".
+                 "A_blocks" (d x n matrices) and the fields "d" and "n"
+                 instead of "A".
 
 Subsets must be sorted ascending and blocks strictly increasing; duplicates
 are rejected.  Sizes and indices must be JSON integers; coefficient and
@@ -15,6 +16,13 @@ certificate values and every entry of u, v and the matrices must be JSON
 numbers, and the entries of u, v and the matrices must also be finite.
 Booleans, strings and floats in an integer field (even 2.0) are rejected
 rather than coerced.
+
+A certificate must also agree with itself.  Its kind is one of
+"homogeneous_fcb", which goes with "A", and "bml_homogeneous" and
+"bml_general", which go with "A_blocks"; a file holding the other array is
+rejected.  For homogeneous_fcb, s_or_D is the witness degree d; for the
+block-multilinear kinds it is a block or degree in 1..d, and "d" and "n"
+are the two leading sizes of "A_blocks".
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ import numpy as np
 from .behavior import Witness
 from .errors import ParseError
 from .poly import BlockMultilinearPolynomial, Polynomial
-from .witnesses import BmlWitness, InfluenceCertificate
+from .witnesses import BML_GENERAL, BML_HOMOGENEOUS, HOMOGENEOUS_FCB, BmlWitness, InfluenceCertificate
+
+_CERTIFICATE_ARRAYS = {HOMOGENEOUS_FCB: "A", BML_HOMOGENEOUS: "A_blocks", BML_GENERAL: "A_blocks"}
 
 
 def _load_json(path: str | Path) -> dict:
@@ -211,6 +221,10 @@ def _parse_bml_witness(data: dict, path) -> BmlWitness:
     a = _array(_require(data, "A_blocks", path), "A_blocks", path)
     if a.ndim != 4 or a.shape[2:] != (m, m) or u.shape != (m,) or v.shape != (m,):
         raise ParseError(f"{path}: witness dimensions are inconsistent with m={m}")
+    for axis, key in enumerate(("d", "n")):
+        size = _integer(_require(data, key, path), key, path)
+        if size != a.shape[axis]:
+            raise ParseError(f"{path}: {key}={size} disagrees with the shape {a.shape} of A_blocks")
     return BmlWitness(u=u, v=v, A=a)
 
 
@@ -233,11 +247,22 @@ def save_certificate(cert: InfluenceCertificate, path: str | Path) -> None:
 def load_certificate(path: str | Path) -> InfluenceCertificate:
     data = _load_json(path)
     kind = _require(data, "kind", path)
-    witness = _parse_witness(data, path) if "A" in data else _parse_bml_witness(data, path)
+    if not isinstance(kind, str) or kind not in _CERTIFICATE_ARRAYS:
+        raise ParseError(f"{path}: kind must be one of {', '.join(_CERTIFICATE_ARRAYS)}, got {json.dumps(kind)}")
+    array = _CERTIFICATE_ARRAYS[kind]
+    other = "A_blocks" if array == "A" else "A"
+    if other in data:
+        raise ParseError(f"{path}: kind {kind} goes with {array!r}, not {other!r}")
+    witness = _parse_witness(data, path) if array == "A" else _parse_bml_witness(data, path)
+    s_or_d = _integer(_require(data, "s_or_D", path), "s_or_D", path)
+    if kind == HOMOGENEOUS_FCB and s_or_d != witness.d:
+        raise ParseError(f"{path}: s_or_D={s_or_d} must equal the witness degree d={witness.d}")
+    if kind != HOMOGENEOUS_FCB and not 1 <= s_or_d <= witness.d:
+        raise ParseError(f"{path}: s_or_D={s_or_d} must lie in 1..{witness.d}")
     return InfluenceCertificate(
-        kind=str(kind),
+        kind=kind,
         witness=witness,
         certified_value=_finite(_require(data, "certified_value", path), "certified_value", path),
         implied_bound=_finite(_require(data, "implied_bound", path), "implied_bound", path),
-        s_or_d=_integer(_require(data, "s_or_D", path), "s_or_D", path),
+        s_or_d=s_or_d,
     )

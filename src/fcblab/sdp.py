@@ -42,9 +42,11 @@ are x = x0 + T y, with x0 holding the fixed ones and T the 0/1 map from the
 free variables y to their entries.  A localizer slack is the base selection
 of clique 0 minus the same selection of its letter's clique, so the blocks
 and slacks of x are g0 + G y, with G = [T; T[base] - T[shift]] and g0 the
-same gather of x0.  The problem carries the flat offsets of the two
-selections and the central point of the lower end, so that the solver
-reads no word layout.
+same gather of x0.  SdpProblem holds seven fields.  The program, all that
+the solver reads, is objective, variable, localizers (the flat offsets of
+the two selections) and central (the central point of the lower end).  The
+one layout, which only the completion and the witness extraction read, is
+shifted, d and word_index; the clique table, W0 = 1..|W0| and D follow.
 
 The solver is an in-house consensus ADMM on y: each iteration performs a
 sparse linear solve with G^T G (the only place the objective enters), one
@@ -131,17 +133,14 @@ class SdpProblem:
     # (2, n+1, |W0|, |W0|), flat offsets into the stacked blocks: localizer slack i-1 is the
     # entries localizers[0, i-1] of clique 0 minus the entries localizers[1, i-1] of clique i.
     localizers: np.ndarray
-    central: np.ndarray  # shaped as cliques: the diagonal of the central point, 1 at u and 2^{-|w|} at a word w
-    dim: int  # the fcb layout from here on, which only _complete and extract_witness read
-    # (n+2, width), one row of moment indices per clique: row 0 is the separator
-    # 0..width-1 (u and the words of length <= d-1), row i is 0 and then shifted[i-1],
-    # ending with the i-th run of length-d words; d = 0 has the one row [0, 1].
-    cliques: np.ndarray
-    base: np.ndarray  # (|W0|,): the moment indices 1..width-1 of the words w of length <= d-1
-    shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the indices of the words i w, clique i after u
-    n: int
+    central: np.ndarray  # (n+2, width): the diagonal of the central point, 1 at u and 2^{-|w|} at a word w
+    # The fcb layout, which only _complete and extract_witness read.  Clique 0 is
+    # the moment indices 0..width-1 (u, then the words w of length <= d-1, so
+    # 1..|W0| are W0), and clique i is 0 followed by shifted[i-1], ending with the
+    # i-th run of length-d words; d = 0 has the one clique [0, 1].
+    shifted: np.ndarray  # (n+1, |W0|): row i-1 holds the moment indices of the words i w
     d: int
-    word_index: dict[Word, int]
+    word_index: dict[Word, int]  # the moment index of each word; the moment matrix is 1 + len(word_index) wide
 
 
 @dataclass
@@ -175,9 +174,7 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
     words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
     word_index = {w: 1 + k for k, w in enumerate(words)}  # index 0 is u
 
-    # Clique 0 is the separator 0..width-1 and clique i is u followed by the
-    # words i w of letter i, so each clique ends with a run of length-d words
-    # (clique i with the i-th); d = 0 has the one clique {u, v}.
+    # The cliques as in SdpProblem: each ends with a run of length-d words, clique i with the i-th.
     width = dim - (n + 1) ** d
     run = (n + 1) ** (d - 1) if d else 1
     private = np.arange(width, dim).reshape(-1, run)
@@ -212,11 +209,7 @@ def build_fcb_sdp(p: Polynomial, d: int) -> SdpProblem:
         variable=variable,
         localizers=localizers,
         central=0.5 ** np.array([0] + [len(w) for w in words])[cliques],
-        dim=dim,
-        cliques=cliques,
-        base=base,
         shifted=shifted,
-        n=n,
         d=d,
         word_index=word_index,
     )
@@ -423,8 +416,8 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
                 accel.reset()
                 penalty_changes += 1
 
-    # The repaired point: feasible up to the rounding of the eigenvalues.
-    x = (1.0 - t) * (x0 + T @ y) + t * x_central
+    # The repaired point, with g[:n_vec] = x0 + T y: feasible up to the rounding of the eigenvalues.
+    x = (1.0 - t) * g[:n_vec] + t * x_central
     min_slack = float(np.linalg.eigvalsh(x[loc_base] - x[loc_shift]).min()) if loc_shift.size else 0.0
 
     return SdpSolution(
@@ -462,8 +455,8 @@ def _complete(prob: SdpProblem, blocks: np.ndarray) -> np.ndarray:
     if prob.d == 0:
         return blocks[0]
     width = blocks.shape[1]
-    run = (prob.dim - width) // len(prob.shifted)
-    tie = prob.cliques[1:, : width - run]  # the moment indices of T_i, at the positions before the run
+    run = (len(prob.word_index) + 1 - width) // len(prob.shifted)
+    tie = np.insert(prob.shifted[:, : width - run - 1], 0, 0, axis=1)  # the moment indices of T_i, before the run
     given = blocks[1:, width - run :, : width - run]  # X_i[P, T]
     half = _pinv_half(blocks[1:, : width - run, : width - run])
     cross = (given @ half) @ (np.swapaxes(half, 1, 2) @ blocks[0][tie])
@@ -537,7 +530,7 @@ def extract_witness(sol: SdpSolution, prob: SdpProblem) -> Witness:
     u = factors[0]
     v = factors[prob.word_index[()]]
     targets = np.swapaxes(factors[prob.shifted], 1, 2)  # (n+1) x rank x |W0|: the vectors v_{i w}
-    A = targets @ np.linalg.pinv(factors[prob.base].T, rcond=PINV_RCOND)
+    A = targets @ np.linalg.pinv(factors[1 : prob.shifted.shape[1] + 1].T, rcond=PINV_RCOND)  # over the v_w
     excess = np.maximum(np.linalg.svd(A, compute_uv=False).max(axis=1, initial=0.0) - 1.0, 0.0)
     over = excess > SINGULAR_EXCESS_TOLERANCE
     if over.any():

@@ -166,6 +166,19 @@ class TestWitness:
         save_witness(w, tmp_path / "w.json")
         assert load_witness(tmp_path / "w.json").d == 2
 
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_constant_has_the_frozen_letter_alone(self, d, tmp_path):
+        # n = 0 once needed a second matrix, so bitstring_witness((), d) raised.
+        w = bitstring_witness((), d)
+        assert w.n == 0 and w.A.shape == (1, 1, 1)
+        assert verify_bb(w, 1e-12)["pass"]
+        save_witness(w, tmp_path / "w.json")
+        assert evaluate_on_witness(Polynomial(0, {(): 0.7}), load_witness(tmp_path / "w.json")) == 0.7
+
+    def test_needs_the_frozen_letter(self):
+        with pytest.raises(ValueError, match="need the matrix of the frozen letter"):
+            Witness(d=0, u=np.ones(1), v=np.ones(1), A=np.ones((0, 1, 1)))
+
 
 class TestVerifyBb:
     def test_bitstring_example(self):

@@ -9,7 +9,8 @@ import pytest
 
 from fcblab import sdp
 from fcblab.cli import main
-from fcblab.fileio import save_bml, save_polynomial
+from fcblab import evaluate_on_witness, verify_bb
+from fcblab.fileio import load_polynomial, load_witness, save_bml, save_polynomial
 from fcblab.poly import BlockMultilinearPolynomial, Polynomial, restrict, statistics
 
 from conftest import maj3
@@ -81,6 +82,22 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    def test_huge_n_fails_at_the_guard(self, tmp_path):
+        # statistics ran first: a [0.0] * n list, so n = 10^15 ended in a MemoryError traceback.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**15, "coeffs": [{"subset": [1], "value": 1.0}]}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "fcblab", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: n=1000000000000000 exceeds the dense-sweep guard (20)\n"
 
     def test_integer_past_float_range_is_parse_error(self, tmp_path, capsys):
         # float() of a 401-digit integer once ended the command in an OverflowError traceback
@@ -154,6 +171,17 @@ class TestFcb:
     def test_empty_iteration_budget_is_usage_error(self, maj3_file, capsys):
         assert main(["fcb", maj3_file, "--d", "3", "--max-iters", "0"]) == 2
         assert "max_iters must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", ["0", "1", "2"])
+    def test_constant_without_variables_extracts_a_witness(self, tmp_path, capsys, d):
+        # n = 0 once printed a converged report and then exited 2 on the witness.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 0, "coeffs": [{"subset": [], "value": 0.7}]}))
+        assert main(["fcb", str(path), "--d", d, "--extract-witness", str(tmp_path / "w.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        w = load_witness(tmp_path / "w.json")
+        assert verify_bb(w, 1e-10)["pass"]
+        assert evaluate_on_witness(load_polynomial(path), w) == pytest.approx(report["lower"], abs=1e-9)
 
     def test_huge_d_fails_at_once(self, tmp_path, capsys):
         # Summing (n+1)^s over every s <= d as exact integers ran for minutes here.

@@ -231,6 +231,57 @@ class TestCertificateFormat:
         assert loaded.s_or_d == 1
         assert np.array_equal(loaded.witness.A, cert.witness.A)
 
+    @pytest.mark.parametrize(
+        "source, edits, message",
+        [
+            ("fcb", {"kind": "nonsense"}, 'one of homogeneous_fcb, bml_homogeneous, bml_general, got "nonsense"'),
+            ("fcb", {"kind": 7}, "kind must be one of .*, got 7"),  # str() once read "7"
+            ("fcb", {"kind": "bml_general"}, "kind bml_general goes with 'A_blocks', not 'A'"),
+            ("bml", {"kind": "homogeneous_fcb"}, "kind homogeneous_fcb goes with 'A', not 'A_blocks'"),
+            ("bml", {"kind": "homogeneous_fcb", "d": 99, "n": 7}, "kind homogeneous_fcb goes with 'A'"),
+            ("fcb", {"s_or_D": -5}, "s_or_D=-5 must equal the witness degree d=2"),
+            ("fcb", {"s_or_D": 3}, "s_or_D=3 must equal the witness degree d=2"),
+            ("bml", {"s_or_D": 0}, r"s_or_D=0 must lie in 1\.\.2"),
+            ("bml", {"s_or_D": 3}, r"s_or_D=3 must lie in 1\.\.2"),
+            ("bml", {"d": 99}, r"d=99 disagrees with the shape \(2, 1, 2, 2\) of A_blocks"),
+            ("bml", {"n": 7}, r"n=7 disagrees with the shape \(2, 1, 2, 2\) of A_blocks"),
+            ("bml", {"n": None}, "missing field 'n'"),
+            ("bml", {"d": 2.0}, "d must be an integer, got 2.0"),
+        ],
+        ids=[
+            "unknown-kind",
+            "kind-not-a-string",
+            "fcb-arrays-bml-kind",
+            "bml-arrays-fcb-kind",
+            "bml-arrays-fcb-kind-wrong-sizes",
+            "fcb-negative-s",
+            "fcb-s-past-d",
+            "bml-s-zero",
+            "bml-s-past-d",
+            "bml-wrong-d",
+            "bml-wrong-n",
+            "bml-missing-n",
+            "bml-float-d",
+        ],
+    )
+    def test_inconsistent_fields(self, tmp_path, source, edits, message):
+        # Each of these files once loaded; a field set to None is removed.
+        if source == "fcb":
+            cert = homogeneous_fcb_witness(Polynomial(2, {(1, 2): 1.0}))
+        else:
+            p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})
+            cert = bml_general_witness(p)
+        path = tmp_path / "c.json"
+        save_certificate(cert, path)
+        data = json.loads(path.read_text())
+        for field, value in edits.items():
+            data[field] = value
+            if value is None:
+                del data[field]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=message):
+            load_certificate(path)
+
     @pytest.mark.parametrize("field", ["u", "A_blocks"])
     def test_bml_boolean_entries(self, tmp_path, field):
         p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})

@@ -26,8 +26,9 @@ from fcblab import (
     sup_norm_bruteforce,
     verify_bb,
 )
-from fcblab.sdp import _Anderson, build_fcb_sdp, extract_witness, fcb_interval, solve_sdp
+from fcblab.sdp import SdpProblem, _Anderson, build_fcb_sdp, extract_witness, fcb_interval, solve_sdp
 from fcblab.errors import ExtractionError
+from fcblab.fileio import load_witness, save_witness
 
 from conftest import all_points, maj3, random_poly
 
@@ -77,27 +78,46 @@ PINNED_OPTIMA = [
 ]
 
 
+def reference_words(n, d):
+    """The moment index of each word (index 0 is u) and the words of length <= d-1, in order."""
+    words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
+    return {w: 1 + k for k, w in enumerate(words)}, [w for w in words if len(w) <= d - 1]
+
+
+def reference_cliques(n, d):
+    """The moment indices of each clique, listed word by word.
+
+    The separator (u and the words of length <= d-1), then for each letter i,
+    u and the words i w of length <= d; d = 0 has the one clique {u, v}.
+    """
+    word_index, short = reference_words(n, d)
+    if not d:
+        return np.array([[0, word_index[()]]])
+    separator = [0] + [word_index[w] for w in short]
+    return np.array([separator] + [[0] + [word_index[(i,) + w] for w in short] for i in range(1, n + 2)])
+
+
+def cliques_of(prob):
+    """The moment indices of each clique, read from the layout: 0..width-1 over [0] + shifted."""
+    if not prob.d:
+        return np.array([[0, 1]])
+    return np.vstack([np.arange(prob.shifted.shape[1] + 1), np.insert(prob.shifted, 0, 0, axis=1)])
+
+
 def reference_build(p, d):
     """The D x D construction of the clique program: the SdpProblem fields, in their order.
 
-    The cliques are listed word by word: the separator (u and the words of
-    length <= d-1), then for each letter i, u and the words i w of length
-    <= d; d = 0 has the one clique {u, v}.  The class ties come from
+    The cliques come from reference_cliques.  The class ties come from
     enumerate_classes, and the objective and variable owners are D x D
     tables sliced into the clique stacks.  The localizer offsets look up the
     position of each word w in clique 0 and of each word i w in clique i, and
     the central point's diagonal is 2^{-|w|} at each word w of each clique.
     """
     n = p.n
-    words = [w for length in range(d + 1) for w in itertools.product(range(1, n + 2), repeat=length)]
-    word_index = {w: 1 + k for k, w in enumerate(words)}
+    word_index, short = reference_words(n, d)
+    words = list(word_index)
     dim = 1 + len(words)
-    short = [w for w in words if len(w) <= d - 1]
-    separator = [0] + [word_index[w] for w in short]
-    if d:
-        cliques = np.array([separator] + [[0] + [word_index[(i,) + w] for w in short] for i in range(1, n + 2)])
-    else:
-        cliques = np.array([[0, word_index[()]]])
+    cliques = reference_cliques(n, d)
     blocks = (cliques[:, :, None], cliques[:, None, :])
     objective = np.zeros((dim, dim))
     for s, c in p.coeffs.items():
@@ -126,9 +146,8 @@ def reference_build(p, d):
     localizers = localizers.reshape(2, n + 1, len(short), len(short))  # d = 0 has no short words
     length = {0: 0} | {word_index[w]: len(w) for w in words}
     central = np.array([[0.5 ** length[j] for j in clique] for clique in cliques.tolist()])
-    base = np.array([word_index[w] for w in short], dtype=int)
     shifted = np.array([[word_index[(i,) + w] for w in short] for i in range(1, n + 2)], dtype=int)
-    return objective[blocks], variable, localizers, central, dim, cliques, base, shifted, n, d, word_index
+    return objective[blocks], variable, localizers, central, shifted, d, word_index
 
 
 BUILD_SHAPES = [
@@ -154,6 +173,20 @@ class TestBuild:
                 assert type(got) is type(expected) and got == expected, field.name
                 if isinstance(expected, dict):
                     assert list(got.items()) == list(expected.items())
+        # The layout keeps no clique table; the one it implies is the word-by-word one.
+        assert np.array_equal(cliques_of(prob), reference_cliques(n, d))
+
+    def test_problem_is_the_program_and_one_layout(self):
+        # The clique table, the base words 1..|W0|, D = 1 + len(word_index) and n follow from these.
+        assert [f.name for f in dataclasses.fields(SdpProblem)] == [
+            "objective",
+            "variable",
+            "localizers",
+            "central",
+            "shifted",
+            "d",
+            "word_index",
+        ]
 
     # Within a clique, u is row 0, and v is row 1 of clique 0 only, so entry
     # (u, w) of clique q sits at [q, 0, j] and [q, j, 0], where j is the
@@ -161,8 +194,8 @@ class TestBuild:
 
     def test_single_variable_dimensions(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)
-        assert prob.dim == 4  # u, v, v_(1), v_(2)
-        assert prob.cliques.tolist() == [[0, 1], [0, 2], [0, 3]]
+        assert len(prob.word_index) + 1 == 4  # u, v, v_(1), v_(2)
+        assert cliques_of(prob).tolist() == [[0, 1], [0, 2], [0, 3]]
         assert prob.objective.shape == prob.variable.shape == (3, 2, 2)
         # 7 covered entries (not the pairs of v, v_(1) and v_(2)), no ties, two fixed diagonals
         assert prob.variable.max() + 1 == 7 - 2
@@ -172,9 +205,9 @@ class TestBuild:
 
     def test_equality_count_n2_d2(self):
         prob = build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
-        assert prob.dim == 14
+        assert len(prob.word_index) + 1 == 14
         # clique 0: u, v and the three length-1 words; clique i: u, (i) and the three words (i, j)
-        assert prob.cliques.shape == (4, 5)
+        assert cliques_of(prob).shape == (4, 5)
         assert prob.variable.shape == (4, 5, 5)
         assert [np.argwhere(block < 0).tolist() for block in prob.variable] == [[[0, 0], [1, 1]]] + [[[0, 0]]] * 3
         classes = enumerate_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
@@ -187,7 +220,7 @@ class TestBuild:
         # (u, v_(i)) is entry (0, 1 + i) of clique 0 and entry (0, 1) of clique i.
         assert [prob.variable[i, 0, 1] for i in (1, 2, 3)] == [prob.variable[0, 0, 1 + i] for i in (1, 2, 3)]
         # Entry (u, w) of a length-2 word sits in the clique of its first letter.
-        column = {(k, int(j)): c for k, clique in enumerate(prob.cliques) for c, j in enumerate(clique)}
+        column = {(k, int(j)): c for k, clique in enumerate(cliques_of(prob)) for c, j in enumerate(clique)}
         shared = [
             {prob.variable[w[0], 0, column[w[0], prob.word_index[w]]] for w in members}
             for members in classes.values()
@@ -199,8 +232,8 @@ class TestBuild:
     def test_blocks_are_symmetric(self, n, d):
         full = {s: 1.0 for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)}
         prob = build_fcb_sdp(Polynomial(n, full), d)
-        k = prob.cliques.shape[1]
-        assert prob.objective.shape == prob.variable.shape == (len(prob.cliques), k, k)
+        k = cliques_of(prob).shape[1]
+        assert prob.objective.shape == prob.variable.shape == (len(cliques_of(prob)), k, k)
         assert np.array_equal(prob.variable, prob.variable.transpose(0, 2, 1))
         assert np.array_equal(prob.objective, prob.objective.transpose(0, 2, 1))
 
@@ -212,8 +245,8 @@ class TestBuild:
         full = {s: 1.0 for r in range(min(n, d) + 1) for s in itertools.combinations(range(1, n + 1), r)}
         prob = build_fcb_sdp(Polynomial(n, full), d)
         width = 1 + sum((n + 1) ** s for s in range(d))
-        assert prob.cliques.shape == ((n + 2, width) if d else (1, 2))
-        cliques = [set(clique.tolist()) for clique in prob.cliques]
+        assert cliques_of(prob).shape == ((n + 2, width) if d else (1, 2))
+        cliques = [set(clique.tolist()) for clique in cliques_of(prob)]
 
         def inside(indices):
             return any(set(indices) <= clique for clique in cliques)
@@ -224,20 +257,20 @@ class TestBuild:
             assert inside([u, prob.word_index[canonical_word(s, d, n)]])
         for members in enumerate_classes(n, d).values():
             assert all(inside([u, prob.word_index[w]]) for w in members)
-        assert inside(prob.base)
+        assert inside([prob.word_index[w] for w in prob.word_index if len(w) <= d - 1])
         assert all(inside(shifted) for shifted in prob.shifted)
         # Each coefficient is placed once, on one clique entry and its mirror image.
         assert np.count_nonzero(prob.objective) == 2 * len(full)
         # The cliques cover every index.  For d >= 1 clique 0 is the separator
         # and meets clique i in T_i, u and the words i w with |w| <= d-2; two
         # cliques i, j >= 1 meet only in u.
-        assert set.union(*cliques) == set(range(prob.dim))
+        assert set.union(*cliques) == set(range(len(prob.word_index) + 1))
         assert cliques[0] == set(range(width if d else 2))
         for i, clique in enumerate(cliques[1:], start=1):
             tie = {u} | {prob.word_index[(i,) + w] for w in list(prob.word_index) if len(w) <= d - 2}
             assert cliques[0] & clique == tie
         assert all(a & b == {u} for a, b in itertools.combinations(cliques[1:], 2))
-        covered = {(min(a, b), max(a, b)) for clique in prob.cliques for a in clique for b in clique}
+        covered = {(min(a, b), max(a, b)) for clique in cliques_of(prob) for a in clique for b in clique}
         assert len(covered) == {(2, 0): 3, (1, 1): 7, (2, 2): 51, (3, 3): 1181}[n, d]
 
     def test_zero_polynomial_objective(self):
@@ -251,7 +284,8 @@ class TestBuild:
     def test_localizer_rows_cover_short_words(self):
         prob = build_fcb_sdp(Polynomial(2, {(1,): 1.0}), 2)
         short = [w for w in list(prob.word_index) if len(w) <= 1]
-        assert prob.base.tolist() == [prob.word_index[w] for w in short]
+        # extract_witness reads the base words as the moment indices 1..|W0|.
+        assert [prob.word_index[w] for w in short] == list(range(1, prob.shifted.shape[1] + 1))
         assert prob.shifted.tolist() == [[prob.word_index[(i,) + w] for w in short] for i in (1, 2, 3)]
 
     @pytest.mark.parametrize("d", [2.0, 2.5, True])
@@ -364,7 +398,7 @@ class TestSolveAnchors:
         # The fcb layout fields are cleared; only the completion, stubbed here, may read them.
         # d = 0 has localizers with no rows, and at d = 4 the cliques are 41 wide.
         prob = build_fcb_sdp(p, d)
-        layout = dict.fromkeys(["dim", "cliques", "base", "shifted", "n", "d", "word_index"])
+        layout = dict.fromkeys(["shifted", "d", "word_index"])
         with mock.patch.object(sdp, "_complete") as complete:
             bare = solve_sdp(dataclasses.replace(prob, **layout))
         assert complete.call_count == 1
@@ -428,7 +462,7 @@ class TestPinnedOptima:
         sol = solve_sdp(prob)
         assert sol.converged
         m = sol.moment
-        assert m.shape == (prob.dim, prob.dim)
+        assert m.shape == (len(prob.word_index) + 1,) * 2
         assert np.array_equal(m, m.T)
         v = prob.word_index[()]
         assert m[0, 0] == 1.0 and m[v, v] == 1.0
@@ -438,7 +472,8 @@ class TestPinnedOptima:
         assert value == pytest.approx(sol.value, abs=1e-12)
         for members in enumerate_classes(p.n, 3).values():
             assert len({m[0, prob.word_index[w]] for w in members}) == 1
-        base = m[np.ix_(prob.base, prob.base)]
+        short = [prob.word_index[w] for w in prob.word_index if len(w) <= 2]
+        base = m[np.ix_(short, short)]
         slack = min(np.linalg.eigvalsh(base - m[np.ix_(shifted, shifted)])[0] for shifted in prob.shifted)
         assert slack == pytest.approx(sol.localizer_min_eig_slack, abs=1e-12)
         # The repaired clique blocks are PSD, and so is their completion.
@@ -509,8 +544,8 @@ class TestCertifiedInterval:
             sol = solve_sdp(prob, max_iters=max_iters)
         blocks = complete.call_args.args[1]
         m = sol.moment
-        assert m.shape == (prob.dim, prob.dim) and np.array_equal(m, m.T)
-        for clique, block in zip(prob.cliques, blocks, strict=True):
+        assert m.shape == (len(prob.word_index) + 1,) * 2 and np.array_equal(m, m.T)
+        for clique, block in zip(cliques_of(prob), blocks, strict=True):
             assert np.array_equal(m[np.ix_(clique, clique)], block)
         eigvals = np.linalg.eigvalsh(m)
         assert eigvals[0] >= -1e-9 * max(1.0, np.abs(eigvals).max())
@@ -523,12 +558,13 @@ class TestCertifiedInterval:
         # that leaves the clique tree (a zero fill of M[P_i, S \ T_i], or
         # M[S, S]^+ taken as the identity) has a clearly negative eigenvalue.
         prob = build_fcb_sdp(Polynomial(n, {}), d)
-        rank = data.draw(st.integers(1, prob.dim))
+        dim, cliques = len(prob.word_index) + 1, cliques_of(prob)
+        rank = data.draw(st.integers(1, dim))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        vectors = rng.standard_normal((prob.dim, rank))
-        blocks = (vectors @ vectors.T)[prob.cliques[:, :, None], prob.cliques[:, None, :]]
+        vectors = rng.standard_normal((dim, rank))
+        blocks = (vectors @ vectors.T)[cliques[:, :, None], cliques[:, None, :]]
         m = sdp._complete(prob, blocks)
-        for clique, block in zip(prob.cliques, blocks, strict=True):
+        for clique, block in zip(cliques, blocks, strict=True):
             assert np.array_equal(m[np.ix_(clique, clique)], block)
         eigvals = np.linalg.eigvalsh(m)
         assert eigvals[0] >= -1e-9 * max(1.0, np.abs(eigvals).max())
@@ -649,6 +685,19 @@ class TestExtractWitness:
         w = extract_witness(sol, prob)
         assert verify_bb(w, 1e-6)["pass"]
         assert evaluate_on_witness(p, w) == pytest.approx(sol.value, abs=1e-6)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_constant_without_variables(self, d, tmp_path):
+        # n = 0: the witness holds the frozen letter alone; it was once refused after a converged solve.
+        p = Polynomial(0, {(): 0.7})
+        prob = build_fcb_sdp(p, d)
+        sol = solve_sdp(prob)
+        assert sol.converged
+        w = extract_witness(sol, prob)
+        assert w.n == 0 and w.d == d
+        assert verify_bb(w, 1e-10)["pass"]
+        save_witness(w, tmp_path / "w.json")
+        assert evaluate_on_witness(p, load_witness(tmp_path / "w.json")) == pytest.approx(sol.value, abs=1e-9)
 
     def test_refuses_unconverged(self):
         prob = build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1)
