@@ -12,7 +12,6 @@ from .behavior import (
     bitstring_witness,
     canonical_word,
     chain_value,
-    enumerate_classes,
     evaluate_bml_on_matrices,
     evaluate_on_witness,
     verify_bb,
@@ -63,7 +62,6 @@ from .witnesses import (
     bml_general_witness,
     bml_homogeneous_witness,
     contraction_check,
-    degree_extraction_embed,
     homogeneous_fcb_witness,
 )
 
@@ -96,9 +94,7 @@ __all__ = [
     "chain_value",
     "check_characterization",
     "contraction_check",
-    "degree_extraction_embed",
     "degree_part",
-    "enumerate_classes",
     "evaluate",
     "evaluate_bml_on_matrices",
     "evaluate_on_witness",

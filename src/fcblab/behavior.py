@@ -7,11 +7,15 @@ of unit vectors and contractions has Boolean behavior of degree d when
 <u, A(w_1)...A(w_d) v> agrees across every equivalence class of length-d
 words, mirroring the product relations satisfied by sign vectors with a
 trailing frozen 1.
+
+`word_class` names the class of one word; `_class_firsts` enumerates the
+classes of all (n+1)^d words at once, for `verify_bb` and the SDP's class
+ties.  Letters and subset entries must be integers, and a witness whose
+words number more than MAX_WORDS, or are longer than that, is refused.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,12 +30,18 @@ Word = tuple[int, ...]
 MAX_WORDS = 10**6
 
 
+def _letter(letter, n: int) -> int:
+    """A letter of [n+1] as an int; bools and floats are refused, as in ``_integer``."""
+    letter = _integer(letter, "a letter")
+    if not (1 <= letter <= n + 1):
+        raise IndexError(f"letter {letter} out of range for n={n}")
+    return letter
+
+
 def word_class(w: Sequence[int], n: int) -> Subset:
     """Letters of [n] occurring an odd number of times in w (n+1 is ignored)."""
     counts: dict[int, int] = {}
-    for letter in w:
-        if not (1 <= letter <= n + 1):
-            raise IndexError(f"letter {letter} out of range for n={n}")
+    for letter in (_letter(x, n) for x in w):
         if letter <= n:
             counts[letter] = counts.get(letter, 0) + 1
     return tuple(sorted(k for k, c in counts.items() if c % 2))
@@ -39,12 +49,28 @@ def word_class(w: Sequence[int], n: int) -> Subset:
 
 def canonical_word(S: Sequence[int], d: int, n: int) -> Word:
     """Ascending elements of S padded with copies of n+1 up to length d."""
-    s = tuple(sorted(S))
+    s = tuple(sorted(_integer(i, "a subset entry") for i in S))
     if len(s) > d:
         raise ValueError(f"|S|={len(s)} exceeds word length d={d}")
     if s and not (1 <= s[0] and s[-1] <= n):
         raise IndexError(f"subset {s} out of range for n={n}")
     return s + (n + 1,) * (d - len(s))
+
+
+def _check_words(n: int, d: int) -> None:
+    """Raise CapacityError when the (n+1)^d words of length d, or d itself, exceed MAX_WORDS.
+
+    The power is counted one letter at a time and stops at the guard, as
+    ``build_fcb_sdp`` counts its dimension, so no huge integer is formed; n = 0
+    has one word at every d, and the bound on d alone refuses a huge one.
+    """
+    if d > MAX_WORDS:
+        raise CapacityError(f"n={n}, d={d}: a word of length d exceeds the enumeration guard of {MAX_WORDS}")
+    words = 1
+    for _ in range(d):
+        words *= n + 1
+        if words > MAX_WORDS:
+            raise CapacityError(f"n={n}, d={d}: the (n+1)^d words exceed the enumeration guard of {MAX_WORDS}")
 
 
 def _class_firsts(n: int, d: int) -> np.ndarray:
@@ -54,9 +80,7 @@ def _class_firsts(n: int, d: int) -> np.ndarray:
     i-1, letter n+1 sets none), so two words share a class exactly when they
     share a code.  Codes above 62 bits are Python ints.
     """
-    total = (n + 1) ** d
-    if total > MAX_WORDS:
-        raise CapacityError(f"(n+1)^d = {total} exceeds the enumeration guard ({MAX_WORDS})")
+    _check_words(n, d)
     dtype = np.int64 if n <= 62 else object
     bits = np.array([1 << i for i in range(n)] + [0], dtype=dtype)
     codes = np.zeros(1, dtype=dtype)
@@ -64,16 +88,6 @@ def _class_firsts(n: int, d: int) -> np.ndarray:
         codes = np.bitwise_xor.outer(codes, bits).ravel()  # the new letter varies fastest
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     return first[inverse]
-
-
-def enumerate_classes(n: int, d: int) -> dict[Subset, list[Word]]:
-    """Partition all of [n+1]^d into parity classes, words in lexicographic order."""
-    firsts = _class_firsts(n, d).tolist()
-    words = list(itertools.product(range(1, n + 2), repeat=d))
-    members: dict[int, list[Word]] = {}
-    for w, first in zip(words, firsts):
-        members.setdefault(first, []).append(w)
-    return {word_class(words[first], n): ws for first, ws in members.items()}
 
 
 @dataclass(frozen=True)
@@ -153,10 +167,7 @@ def _chain_values(u: np.ndarray, v: np.ndarray, mats: np.ndarray, words: Sequenc
 
 def chain_value(w: Witness, word: Sequence[int]) -> float:
     """<u, A(w_1)...A(w_s) v> for an arbitrary word."""
-    for letter in word:
-        if not (1 <= letter <= w.n + 1):
-            raise IndexError(f"letter {letter} out of range for n={w.n}")
-    return _chain_values(w.u, w.v, w.A, [tuple(letter - 1 for letter in word)])[0]
+    return _chain_values(w.u, w.v, w.A, [tuple(_letter(letter, w.n) - 1 for letter in word)])[0]
 
 
 def verify_bb(w: Witness, tol: float) -> dict:
@@ -198,13 +209,16 @@ def evaluate_on_witness(p: Polynomial, w: Witness) -> float:
     """Fourier-weighted evaluation sum_S p_hat(S) <u, A(i_1^S)...A(i_d^S) v>.
 
     Uses the canonical representative of each class; independence of the
-    representative is exactly what verify_bb certifies.
+    representative is exactly what verify_bb certifies, so a witness whose
+    words verify_bb cannot enumerate is refused.
     """
+    _check_words(w.n, w.d)
     if p.n != w.n:
         raise ValueError(f"polynomial has n={p.n} but witness has n={w.n}")
     if p.degree > w.d:
         raise ValueError(f"degree {p.degree} exceeds witness degree {w.d}")
-    words = [tuple(letter - 1 for letter in canonical_word(s, w.d, w.n)) for s in p.coeffs]
+    # p's keys are sorted subsets of [n] already, so each pads straight to its canonical word
+    words = [tuple(i - 1 for i in s) + (w.n,) * (w.d - len(s)) for s in p.coeffs]
     total = 0.0
     for c, value in zip(p.coeffs.values(), _chain_values(w.u, w.v, w.A, words)):
         total += c * value

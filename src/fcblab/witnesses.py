@@ -9,8 +9,9 @@ polynomial on such a triple therefore returns a ratio of its variance to a
 root influence, which rearranges into a lower bound on the maximum influence
 whenever the relevant norm is at most 1.
 
-The homogeneous fcb and general block-multilinear certificates share one
-builder, `_annihilation_tuple`; only their index sets and letters differ.
+Each certificate lists its moves, A[letter][row, col] = value, and one
+builder, `_matrix_tuple`, fills the matrices.  The homogeneous fcb and general
+block-multilinear certificates share one move list, `_annihilation_tuple`.
 """
 
 from __future__ import annotations
@@ -102,6 +103,20 @@ def _check_entries(letters: int, sizes) -> None:
             )
 
 
+def _matrix_tuple(letters, m, moves, start, end):
+    """Tuple (u, v, A) on m basis vectors e_0..e_{m-1}, with v = e_start and u = e_end.
+
+    ``letters`` is the leading shape of A.  Each move (letter, row, col, value)
+    sets A[letter][row, col] = value, so the letter sends e_col to value e_row.
+    """
+    A = np.zeros(letters + (m, m))
+    for letter, row, col, value in moves:
+        A[letter + (row, col)] = value
+    u, v = np.zeros(m), np.zeros(m)
+    u[end] = v[start] = 1.0
+    return u, v, A
+
+
 def _annihilation_tuple(coeffs, sets, letters, slot, root):
     """Flat tuple (u, v, A) on the basis {v} + {f_S : S in sets}, with u = f_{}.
 
@@ -110,18 +125,9 @@ def _annihilation_tuple(coeffs, sets, letters, slot, root):
     ``letters`` is the leading shape of A.
     """
     f_index = {s: 1 + k for k, s in enumerate(sets)}  # basis position 0 is v
-    m = 1 + len(sets)
-    A = np.zeros(letters + (m, m))
-    columns = [(key, 0, c / root) for key, c in coeffs.items()]
-    columns += [(s, f_index[s], 1.0) for s in sets]
-    for key, col, val in columns:
-        for x in key:
-            A[slot[x] + (f_index[tuple(y for y in key if y != x)], col)] = val
-    u = np.zeros(m)
-    u[f_index[()]] = 1.0
-    v = np.zeros(m)
-    v[0] = 1.0
-    return u, v, A
+    columns = [(key, 0, c / root) for key, c in coeffs.items()] + [(s, f_index[s], 1.0) for s in sets]
+    moves = ((slot[x], f_index[tuple(y for y in key if y != x)], col, val) for key, col, val in columns for x in key)
+    return _matrix_tuple(letters, 1 + len(sets), moves, 0, f_index[()])
 
 
 def homogeneous_fcb_witness(p: Polynomial) -> InfluenceCertificate:
@@ -191,36 +197,16 @@ def bml_homogeneous_witness(p: BlockMultilinearPolynomial, s: int) -> InfluenceC
     # e_() first, then the suffixes from longest to shortest; the f_q follow in lexicographic order.
     e = {t: k for k, t in enumerate([()] + tuples(range(d - s, 0, -1)))}
     f = {q: len(e) + k for k, q in enumerate(sorted(tuples(range(s))))}
-    m = len(e) + len(f)
-    prefixes = tuples([s - 1])
-
-    A = np.zeros((n, m, m))
-    for t, col in e.items():
-        if len(t) < d - s:
-            # creation: prepend the index of the next-lower block
-            for i in range(1, n + 1):
-                A[i - 1, e[(i,) + t], col] = 1.0
-        else:
-            # jump across block s, weighted by the coefficients
-            for i in range(1, n + 1):
-                if inf_s[i - 1] == 0.0:
-                    continue
-                root = sqrt(inf_s[i - 1])
-                for q in prefixes:
-                    c = coeffs.get(q + (i,) + t, 0.0)
-                    if c != 0.0:
-                        A[i - 1, f[q], col] = c / root
-    for q, col in f.items():
-        # annihilation: remove the index of the highest block
-        if q:
-            A[q[-1] - 1, f[q[:-1]], col] = 1.0
-
-    u = np.zeros(m)
-    u[f[()]] = 1.0
-    v = np.zeros(m)
-    v[e[()]] = 1.0
-    tuple_A = np.broadcast_to(A, (d, n, m, m)).copy()
-    witness = BmlWitness(u=u, v=v, A=tuple_A)
+    # A(i) creates e_(i)+t from e_t, jumps from e_t to the f_q weighted by p_hat(q+(i)+t)/sqrt(Inf_{s,i}),
+    # and annihilates f_q+(i) to f_q.  Inf_{s,i} = 0 only where squares underflow; such an i gets no jump.
+    roots = {i: sqrt(x) for i, x in enumerate(inf_s, 1) if x != 0.0}
+    creation = (((t[0] - 1,), e[t], e[t[1:]], 1.0) for t in e if t)
+    jump = (
+        ((k[s - 1] - 1,), f[k[: s - 1]], e[k[s:]], c / roots[k[s - 1]]) for k, c in coeffs.items() if k[s - 1] in roots
+    )
+    annihilation = (((q[-1] - 1,), f[q[:-1]], f[q], 1.0) for q in f if q)
+    u, v, A = _matrix_tuple((n,), len(e) + len(f), itertools.chain(creation, jump, annihilation), e[()], f[()])
+    witness = BmlWitness(u=u, v=v, A=np.broadcast_to(A, (d,) + A.shape).copy())
     value = evaluate_bml_on_matrices(p, u, v, witness.A)
     return InfluenceCertificate(
         kind=BML_HOMOGENEOUS,
@@ -278,20 +264,3 @@ def bml_general_witness(p: BlockMultilinearPolynomial) -> InfluenceCertificate:
         implied_bound=(total_var / d) ** 2,
         s_or_d=D,
     )
-
-
-def degree_extraction_embed(w: BmlWitness, D: int, d: int) -> BmlWitness:
-    """Tensor with the nilpotent shift so the full polynomial sees only degree D.
-
-    B on R^(D+1) sends e_{s+1} to e_s; since <e_1, B^s e_{D+1}> = delta_{s,D},
-    evaluating any block-multilinear polynomial on (u ox e_1, v ox e_{D+1},
-    A_b(i) ox B) equals evaluating its degree-D part on (u, v, A).
-    """
-    if not (1 <= D <= d):
-        raise ValueError(f"D={D} must lie in [1, d={d}]")
-    if w.d != d:
-        raise ValueError(f"witness has {w.d} blocks, expected {d}")
-    e = np.eye(D + 1)
-    shift = np.eye(D + 1, k=1)
-    return BmlWitness(u=np.kron(w.u, e[0]), v=np.kron(w.v, e[D]), A=np.kron(w.A, shift))
-

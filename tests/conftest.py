@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fcblab import BlockMultilinearPolynomial, Polynomial, checks, qsim
+from fcblab import BlockMultilinearPolynomial, Polynomial, checks, qsim, word_class
 from fcblab.checks import random_poly  # noqa: F401 - imported by the test modules
 
 
@@ -29,6 +29,14 @@ def brute_force_coeffs(values: dict, n: int) -> dict:
 
 def all_points(n: int):
     return itertools.product((1, -1), repeat=n)
+
+
+def parity_classes(n: int, d: int) -> dict:
+    """All length-d words over [n+1] grouped by word_class, each class in lexicographic order."""
+    classes: dict = {}
+    for w in itertools.product(range(1, n + 2), repeat=d):
+        classes.setdefault(word_class(w, n), []).append(w)
+    return classes
 
 
 def maj3() -> Polynomial:

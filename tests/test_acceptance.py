@@ -20,10 +20,8 @@ from fcblab import (
     bml_influences,
     bml_variance,
     contraction_check,
-    degree_extraction_embed,
     degree_part,
     evaluate,
-    evaluate_bml_on_matrices,
     extract_witness,
     fcb_norm,
     greedy_simulate,
@@ -114,11 +112,6 @@ def test_criterion_3_general_bml_bound():
             target = varD / math.sqrt(float(bml_influences(pD).max()))
             assert abs(cert.certified_value - target) <= 1e-9
             assert varD >= bml_variance(p) / p.d
-            w = cert.witness
-            emb = degree_extraction_embed(w, cert.s_or_d, p.d)
-            full_on_embedded = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
-            part_on_original = evaluate_bml_on_matrices(pD, w.u, w.v, w.A)
-            assert abs(full_on_embedded - part_on_original) <= 1e-12
 
 
 def _criterion_4_instances():

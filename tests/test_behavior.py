@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from fcblab import (
     bml_homogeneous_witness,
     canonical_word,
     chain_value,
-    enumerate_classes,
     evaluate,
     evaluate_bml_on_matrices,
     evaluate_on_witness,
@@ -29,7 +29,7 @@ from fcblab.behavior import _chain_values, _class_firsts
 from fcblab.fileio import load_witness, save_witness
 from fcblab.poly import BlockMultilinearPolynomial
 
-from conftest import all_points, maj3, random_poly
+from conftest import all_points, maj3, parity_classes, random_poly
 
 
 class TestWordClass:
@@ -45,6 +45,10 @@ class TestWordClass:
     def test_letter_out_of_range(self):
         with pytest.raises(IndexError):
             word_class((8,), 6)
+
+    def test_letter_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=re.escape("a letter must be an integer, got True")):
+            word_class((True,), 1)
 
 
 class TestCanonicalWord:
@@ -63,6 +67,16 @@ class TestCanonicalWord:
         with pytest.raises(ValueError):
             canonical_word({1, 2}, 1, 5)
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True])
+    def test_entries_must_be_integers(self, entry):
+        # (1.5,) once gave the word (1.5, 3)
+        with pytest.raises(ValueError, match=re.escape(f"a subset entry must be an integer, got {entry!r}")):
+            canonical_word((entry,), 2, 2)
+
+    def test_takes_numpy_integer_entries(self):
+        word = canonical_word(np.array([2, 1]), 3, 2)
+        assert word == (1, 2, 3) and all(type(letter) is int for letter in word)
+
     def test_round_trip_all_subsets(self):
         for n, d in ((3, 2), (4, 3)):
             for r in range(d + 1):
@@ -71,42 +85,29 @@ class TestCanonicalWord:
 
 
 class TestEnumerateClasses:
-    def test_n1_d1(self):
-        assert enumerate_classes(1, 1) == {(1,): [(1,)], (): [(2,)]}
-
-    def test_n2_d2_partition(self):
-        classes = enumerate_classes(2, 2)
-        assert classes[()] == [(1, 1), (2, 2), (3, 3)]
-        assert classes[(1,)] == [(1, 3), (3, 1)]
-        assert classes[(2,)] == [(2, 3), (3, 2)]
-        assert classes[(1, 2)] == [(1, 2), (2, 1)]
-
-    def test_n1_d2(self):
-        classes = enumerate_classes(1, 2)
-        assert classes[()] == [(1, 1), (2, 2)]
-        assert classes[(1,)] == [(1, 2), (2, 1)]
+    """The parity classes of all length-d words, as _class_firsts enumerates them."""
 
     def test_class_count(self):
         for n, d in ((2, 2), (3, 2), (2, 4)):
             expected = sum(math.comb(n, r) for r in range(min(n, d) + 1))
-            assert len(enumerate_classes(n, d)) == expected
+            assert len(set(_class_firsts(n, d).tolist())) == expected
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            enumerate_classes(9, 7)
+            _class_firsts(9, 7)
 
     def test_classes_match_scalar_products(self):
         # same class <=> identical monomial values on all x with frozen last coordinate
         for n, d in ((2, 2), (3, 3), (4, 2)):
             points = [x + (1,) for x in all_points(n)]
-
-            def profile(w):
-                return tuple(math.prod(x[k - 1] for k in w) for x in points)
-
-            for members in enumerate_classes(n, d).values():
-                assert len({profile(w) for w in members}) == 1
-            reps = [members[0] for members in enumerate_classes(n, d).values()]
-            assert len({profile(w) for w in reps}) == len(reps)
+            profiles = [
+                tuple(math.prod(x[k - 1] for k in w) for x in points)
+                for w in itertools.product(range(1, n + 2), repeat=d)
+            ]
+            firsts = _class_firsts(n, d).tolist()
+            assert all(profiles[k] == profiles[first] for k, first in enumerate(firsts))
+            reps = set(firsts)
+            assert len({profiles[k] for k in reps}) == len(reps)
 
 
 def first_ranks(n: int, d: int) -> list[int]:
@@ -151,6 +152,46 @@ class TestClassFirsts:
     def test_cancelled_pairs_and_runs(self, n, word, first):
         assert word_class(word, n) == word_class(first, n)
         assert _class_firsts(n, len(word))[word_rank(word, n)] == word_rank(first, n)
+
+
+class TestWordGuard:
+    @pytest.mark.parametrize(
+        "check",
+        [lambda w: verify_bb(w, 1e-9), lambda w: evaluate_on_witness(Polynomial(w.n, {(): 1.0}), w)],
+        ids=["verify_bb", "evaluate_on_witness"],
+    )
+    @pytest.mark.parametrize("n, d", [(1, 10**6), (0, 10**9)])
+    def test_refused_at_once(self, check, n, d):
+        # (1, 10^6) formed the 301,030-digit (n+1)^d and failed to print it;
+        # n = 0 has one word at every d and passed the guard, then looped d times.
+        w = Witness(d=d, u=np.ones(1), v=np.ones(1), A=np.ones((n + 1, 1, 1)))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=re.escape(f"n={n}, d={d}: ")):
+            check(w)
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_d_forms_no_power(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="a word of length d exceeds the enumeration guard"):
+            _class_firsts(2, 10**7)
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_count_passes(self):
+        # 10^6 words, exactly the guard
+        assert _class_firsts(9, 6).shape == (10**6,)
+
+
+class TestChainValue:
+    @pytest.mark.parametrize("letter", [True, 1.0])
+    def test_letters_must_be_integers(self, letter):
+        # [True] once read letter 1, and [1.0] raised a bare TypeError
+        w = bitstring_witness((-1,), 1)
+        with pytest.raises(ValueError, match=re.escape(f"a letter must be an integer, got {letter!r}")):
+            chain_value(w, [letter])
+
+    def test_takes_numpy_integer_letters(self):
+        w = bitstring_witness((-1,), 1)
+        assert chain_value(w, np.array([1, 2, 1])) == 1.0
 
 
 class TestWitness:
@@ -265,9 +306,7 @@ class TestEvaluateOnWitness:
     def test_representative_independence(self):
         cert = homogeneous_fcb_witness(degree_part(maj3(), 3))
         w = cert.witness
-        from fcblab import enumerate_classes as ec
-
-        for members in ec(3, 3).values():
+        for members in parity_classes(3, 3).values():
             vals = {round(chain_value(w, word), 12) for word in members}
             assert len(vals) == 1
 

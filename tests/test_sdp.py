@@ -15,7 +15,6 @@ from fcblab import (
     bitstring_witness,
     canonical_word,
     checks,
-    enumerate_classes,
     evaluate_on_witness,
     fcb_norm,
     homogeneous_fcb_witness,
@@ -30,7 +29,7 @@ from fcblab.sdp import SdpProblem, _Anderson, build_fcb_sdp, extract_witness, fc
 from fcblab.errors import ExtractionError
 from fcblab.fileio import load_witness, save_witness
 
-from conftest import all_points, maj3, random_poly
+from conftest import all_points, maj3, parity_classes, random_poly
 
 
 def random_degree_one(rng, n_max=4):
@@ -107,9 +106,9 @@ def cliques_of(prob):
 def reference_build(p, d):
     """The D x D construction of the clique program: the SdpProblem fields, in their order.
 
-    The cliques come from reference_cliques.  The class ties come from
-    enumerate_classes, and the objective and variable owners are D x D
-    tables sliced into the clique stacks.  The localizer offsets look up the
+    The cliques come from reference_cliques.  The class ties group the words
+    by word_class, and the objective and variable owners are D x D tables
+    sliced into the clique stacks.  The localizer offsets look up the
     position of each word w in clique 0 and of each word i w in clique i, and
     the central point's diagonal is 2^{-|w|} at each word w of each clique.
     """
@@ -125,7 +124,7 @@ def reference_build(p, d):
         objective[0, w] = objective[w, 0] = c / 2.0
     flat = np.arange(dim * dim).reshape(dim, dim)
     owner = np.minimum(flat, flat.T)
-    for members in enumerate_classes(n, d).values():
+    for members in parity_classes(n, d).values():
         tied = [word_index[w] for w in members]
         owner[0, tied] = owner[tied, 0] = word_index[members[0]]
     v = word_index[()]
@@ -210,7 +209,7 @@ class TestBuild:
         assert cliques_of(prob).shape == (4, 5)
         assert prob.variable.shape == (4, 5, 5)
         assert [np.argwhere(block < 0).tolist() for block in prob.variable] == [[[0, 0], [1, 1]]] + [[[0, 0]]] * 3
-        classes = enumerate_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
+        classes = parity_classes(2, 2)  # 9 words in 4 classes: 5 tied entries
         assert sum(len(members) for members in classes.values()) == 9
         assert len(classes) == 4
         # 15 entries of the upper triangle in clique 0, and 12 more in each
@@ -255,7 +254,7 @@ class TestBuild:
         assert inside([u, v])
         for s in full:
             assert inside([u, prob.word_index[canonical_word(s, d, n)]])
-        for members in enumerate_classes(n, d).values():
+        for members in parity_classes(n, d).values():
             assert all(inside([u, prob.word_index[w]]) for w in members)
         assert inside([prob.word_index[w] for w in prob.word_index if len(w) <= d - 1])
         assert all(inside(shifted) for shifted in prob.shifted)
@@ -470,7 +469,7 @@ class TestPinnedOptima:
         # class ties exactly and reproduce the localizer slack.
         value = sum(c * m[0, prob.word_index[canonical_word(s, 3, p.n)]] for s, c in p.coeffs.items())
         assert value == pytest.approx(sol.value, abs=1e-12)
-        for members in enumerate_classes(p.n, 3).values():
+        for members in parity_classes(p.n, 3).values():
             assert len({m[0, prob.word_index[w]] for w in members}) == 1
         short = [prob.word_index[w] for w in prob.word_index if len(w) <= 2]
         base = m[np.ix_(short, short)]

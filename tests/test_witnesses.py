@@ -16,7 +16,6 @@ from fcblab import (
     bml_influences,
     bml_variance,
     contraction_check,
-    degree_extraction_embed,
     degree_part,
     evaluate_bml_on_matrices,
     homogeneous_fcb_witness,
@@ -143,6 +142,49 @@ class TestBmlHomogeneousWitness:
         cert = bml_homogeneous_witness(p, 1)
         assert np.isfinite(cert.certified_value)
         assert cert.certified_value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_pinned_entries_n2_d2(self, s):
+        # Coefficients (3, 4; 4, -3)/8: every row and column of squares sums to 0.625^2.
+        p = BlockMultilinearPolynomial(
+            2, 2, {((1, 1), (2, 1)): 0.375, ((1, 1), (2, 2)): 0.5, ((1, 2), (2, 1)): 0.5, ((1, 2), (2, 2)): -0.375}
+        )
+        a = np.zeros((2, 4, 4))
+        if s == 1:
+            # basis e_(), e_(1), e_(2), f_(): creation from e_() into e_(i), then jumps to f_()
+            v, u = 0, 3
+            a[0, 1, 0] = a[1, 2, 0] = 1.0
+            a[0, 3, 1], a[0, 3, 2], a[1, 3, 1], a[1, 3, 2] = 0.6, 0.8, 0.8, -0.6
+        else:
+            # basis e_(), f_(), f_(1), f_(2): jumps from e_() into f_(q), then annihilation to f_()
+            v, u = 0, 1
+            a[0, 2, 0], a[1, 2, 0], a[0, 3, 0], a[1, 3, 0] = 0.6, 0.8, 0.8, -0.6
+            a[0, 1, 2] = a[1, 1, 3] = 1.0
+        cert = bml_homogeneous_witness(p, s)
+        w = cert.witness
+        assert np.array_equal(w.u, np.eye(4)[u]) and np.array_equal(w.v, np.eye(4)[v])
+        assert w.A.shape == (2, 2, 4, 4)
+        assert np.array_equal(w.A[0], a) and np.array_equal(w.A[1], a)
+        assert cert.certified_value == 1.25
+        assert cert.s_or_d == s
+
+    @pytest.mark.parametrize("s, expected", [(1, 1.0), (2, 1.4)])
+    def test_index_absent_from_block_s(self, s, expected):
+        # Only index 1 occurs in block 1 and only indices 2, 3 in block 2, so the
+        # other indices get no jump at block s and Inf_{s,i} = 0 divides nothing.
+        p = BlockMultilinearPolynomial(3, 2, {((1, 1), (2, 2)): 0.6, ((1, 1), (2, 3)): 0.8})
+        cert = bml_homogeneous_witness(p, s)
+        w = cert.witness
+        assert np.isfinite(w.A).all()
+        assert cert.certified_value == pytest.approx(expected, abs=1e-12)
+        assert cert.certified_value == pytest.approx(sum(map(math.sqrt, bml_influences(p)[s - 1])), abs=1e-12)
+        assert sigma_max(w.A) <= 1.0 + 1e-12
+        # the jump columns: e_t for the d-s indices of blocks s+1..d, here e_(i) at s=1 and e_() at s=2
+        jump_cols = [1, 2, 3] if s == 1 else [0]
+        absent = [i for i in range(3) if bml_influences(p)[s - 1, i] == 0.0]
+        assert absent == ([1, 2] if s == 1 else [0])
+        for i in absent:
+            assert not w.A[0, i][:, jump_cols].any()
 
     def test_root_influence_chain(self, rng):
         # sum_i sqrt(Inf_{s,i}) >= Var/sqrt(MaxInf) >= Var once MaxInf <= 1
@@ -287,39 +329,6 @@ class TestSizeGuard:
         monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries - 1)
         with pytest.raises(CapacityError, match="exceed the guard"):
             build()
-
-
-class TestDegreeExtractionEmbed:
-    def test_full_degree_preserves_value(self, rng):
-        p = random_homogeneous_bml(rng, n_max=2, d_max=3)
-        cert = bml_general_witness(p)
-        w = cert.witness
-        emb = degree_extraction_embed(w, p.d, p.d)
-        before = evaluate_bml_on_matrices(p, w.u, w.v, w.A)
-        after = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
-        assert after == pytest.approx(before, abs=1e-12)
-
-    def test_isolates_degree_part(self):
-        p = BlockMultilinearPolynomial(1, 2, {((1, 1),): 2**-0.5, ((1, 1), (2, 1)): 2**-0.5})
-        cert = bml_general_witness(p)  # D = 1
-        w = cert.witness
-        pD = degree_part(p, 1)
-        emb = degree_extraction_embed(w, 1, 2)
-        full_on_embedded = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
-        part_on_original = evaluate_bml_on_matrices(pD, w.u, w.v, w.A)
-        assert full_on_embedded == pytest.approx(part_on_original, abs=1e-12)
-
-    def test_zero_off_part_unchanged(self, rng):
-        p = random_homogeneous_bml(rng, n_max=2, d_max=2)
-        cert = bml_general_witness(p)
-        emb = degree_extraction_embed(cert.witness, p.d, p.d)
-        val = evaluate_bml_on_matrices(p, emb.u, emb.v, emb.A)
-        assert val == pytest.approx(cert.certified_value, abs=1e-12)
-
-    def test_rejects_bad_degree(self):
-        p = BlockMultilinearPolynomial(1, 2, {((1, 1), (2, 1)): 1.0})
-        with pytest.raises(ValueError):
-            degree_extraction_embed(bml_general_witness(p).witness, 3, 2)
 
 
 class TestContractionCheck:
