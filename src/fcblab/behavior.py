@@ -11,7 +11,9 @@ trailing frozen 1.
 `word_class` names the class of one word; `_class_firsts` enumerates the
 classes of all (n+1)^d words at once, for `verify_bb` and the SDP's class
 ties.  Letters and subset entries must be integers, and a witness whose
-words number more than MAX_WORDS, or are longer than that, is refused.
+words number more than MAX_WORDS, or are longer than that, is refused.  At
+n = 0 the one word is the frozen letter d times, and `verify_bb` and
+`evaluate_on_witness` take its matrix power by repeated squaring.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _check_words(n: int, d: int) -> None:
     if d > MAX_WORDS:
         raise CapacityError(f"n={n}, d={d}: a word of length d exceeds the enumeration guard of {MAX_WORDS}")
     words = 1
-    for _ in range(d):
+    for _ in range(d if n else 0):  # n = 0 has one word at every d
         words *= n + 1
         if words > MAX_WORDS:
             raise CapacityError(f"n={n}, d={d}: the (n+1)^d words exceed the enumeration guard of {MAX_WORDS}")
@@ -84,7 +86,7 @@ def _class_firsts(n: int, d: int) -> np.ndarray:
     dtype = np.int64 if n <= 62 else object
     bits = np.array([1 << i for i in range(n)] + [0], dtype=dtype)
     codes = np.zeros(1, dtype=dtype)
-    for _ in range(d):
+    for _ in range(d if n else 0):  # n = 0 has the one word, of code 0
         codes = np.bitwise_xor.outer(codes, bits).ravel()  # the new letter varies fastest
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     return first[inverse]
@@ -185,12 +187,16 @@ def verify_bb(w: Witness, tol: float) -> dict:
     excess = max(0.0, sigma_max(w.A) - 1.0)
 
     # Suffix vectors level by level; the final letter is folded into u^T A(i)
-    # so only (n+1)^(d-1) vectors are ever materialized.
+    # so only (n+1)^(d-1) vectors are ever materialized.  With n = 0 the one
+    # suffix is a power of the frozen letter's matrix, taken by repeated squaring.
     max_violation = 0.0
     if d > 0:
         suffix = w.v.reshape(m, 1)
-        for _ in range(d - 1):
-            suffix = np.hstack(w.A @ suffix)
+        if n == 0:
+            suffix = np.linalg.matrix_power(w.A[0], d - 1) @ suffix
+        else:
+            for _ in range(d - 1):
+                suffix = np.hstack(w.A @ suffix)
         # column order of `suffix` = lexicographic order of length-(d-1) words
         ua = w.u @ w.A
         values = (ua @ suffix).reshape(-1)  # lexicographic over length-d words
@@ -217,10 +223,13 @@ def evaluate_on_witness(p: Polynomial, w: Witness) -> float:
         raise ValueError(f"polynomial has n={p.n} but witness has n={w.n}")
     if p.degree > w.d:
         raise ValueError(f"degree {p.degree} exceeds witness degree {w.d}")
-    # p's keys are sorted subsets of [n] already, so each pads straight to its canonical word
-    words = [tuple(i - 1 for i in s) + (w.n,) * (w.d - len(s)) for s in p.coeffs]
+    if w.n == 0:  # the one word is the frozen letter d times: its value by repeated squaring
+        values = [float(w.u @ np.linalg.matrix_power(w.A[0], w.d) @ w.v)] * len(p.coeffs)
+    else:  # p's keys are sorted subsets of [n] already, so each pads straight to its canonical word
+        words = [tuple(i - 1 for i in s) + (w.n,) * (w.d - len(s)) for s in p.coeffs]
+        values = _chain_values(w.u, w.v, w.A, words)
     total = 0.0
-    for c, value in zip(p.coeffs.values(), _chain_values(w.u, w.v, w.A, words)):
+    for c, value in zip(p.coeffs.values(), values):
         total += c * value
     return total
 

@@ -48,14 +48,23 @@ the two selections) and central (the central point of the lower end).  The
 one layout, which only the completion and the witness extraction read, is
 shifted, d and word_index; the clique table, W0 = 1..|W0| and D follow.
 
-The solver is an in-house consensus ADMM on y: each iteration performs a
-sparse linear solve with G^T G (the only place the objective enters), one
-batched PSD projection of the clique blocks and one of the localizer
-slacks, each via eigendecomposition, starting from zero.  The ADMM step is
-plain (no over-relaxation) and is extrapolated by safeguarded type-II
-Anderson acceleration over the last ANDERSON_MEMORY steps; an extrapolated
-point whose fixed-point residual is worse than that of the point it came
-from is discarded in favour of the plain step.
+The solver is an in-house consensus ADMM on y: each iteration solves the
+normal equations with G^T G (the only place the objective enters), then
+makes one batched PSD projection of the clique blocks and one of the
+localizer slacks, each via eigendecomposition, starting from zero.  G^T G
+is block diagonal.  A block row of G reads one variable, and a slack row
+joins the variable of M[w, w'] to that of M[i w, i w'], so the entry of two
+words that start with the same letter has one parent, the entry of the
+words without it.  The pairs form a forest over the variables, and G^T G
+couples only the variables of one tree (at n=3, d=3 its 203 trees have 1,
+5 or 21).  The solver finds the trees by min-label propagation, inverts
+each tree's dense block once per solve, and applies the inverses of one
+size as one batched product; chordal ADMM solvers also factor this matrix
+once per problem (Zheng et al.; O'Donoghue, arXiv:2004.02177).  The ADMM
+step is plain (no over-relaxation) and is extrapolated by safeguarded
+type-II Anderson acceleration over the last ANDERSON_MEMORY steps; an
+extrapolated point whose fixed-point residual is worse than that of the
+point it came from is discarded in favour of the plain step.
 
 Every RESIDUAL_CHECK_EVERY iterations a plain step is checked.  The check
 measures the relative primal and the dual residual and balances the penalty
@@ -81,7 +90,7 @@ otherwise it runs on.
   and slacks of x, and its value (1 - t) c.x is the lower end.
 - Upper end: weak duality for a multiplier L (Jansson, Chaykin & Keil,
   SIAM J. Numer. Anal. 46, 2007).  L = rho (z - v), the negated scaled
-  dual, is corrected by one solve with the factor already at hand so that
+  dual, is corrected by one solve with the inverses already at hand so that
   G^T L = -T^T c.  Every diagonal of a feasible point is at most 1 (the
   localizer diagonals telescope down from ||v|| = 1), so a block's trace is
   at most its size k_j and each entry, and so each variable, lies in
@@ -102,8 +111,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .behavior import Witness, Word, _class_firsts, canonical_word
 from .errors import CapacityError, ConvergenceError, ExtractionError
@@ -227,6 +234,61 @@ def _psd_project(mats: np.ndarray) -> np.ndarray:
     return mats - (eigvecs * negative[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
 
 
+class _Consensus:
+    """G y, G^T r and the per-tree solve with G^T G, from the program's variable and localizers alone."""
+
+    def __init__(self, variable: np.ndarray, localizers: np.ndarray) -> None:
+        self.variable, (self.base, self.shift) = variable.reshape(-1), localizers.reshape(2, -1)
+        n_vec, n_slack, self.n_var = self.variable.size, self.base.size, int(variable.max()) + 1
+        # G's nonzeros in row order: +1 at each free block entry, then +1 and -1 in each slack row.
+        pairs = self.variable[localizers.reshape(2, -1)]
+        cols = np.concatenate([self.variable, pairs.T.reshape(-1)])
+        keep = cols >= 0
+        self.rows = np.concatenate([np.arange(n_vec), n_vec + np.arange(n_slack).repeat(2)])[keep]
+        self.signs = np.concatenate([np.ones(n_vec), np.tile([1.0, -1.0], n_slack)])[keep]
+        self.cols = cols[keep]
+
+        # Min-label propagation: each pass takes the lesser label across every pair, then the label's label.
+        a, b = pairs[:, (pairs >= 0).all(axis=0)]
+        label, previous = np.arange(self.n_var), None
+        while not np.array_equal(label, previous):
+            previous, label = label, label.copy()
+            np.minimum.at(label, np.append(a, b), np.tile(np.minimum(previous[a], previous[b]), 2))
+            label = label[label]
+        # A tree is named by its least variable.  Trees of one size form a group, whose dense
+        # blocks of G^T G are inverted here: each variable's count of entries, less 1 at
+        # (a, b) and (b, a) for each slack row between the variables a and b.
+        size, order = np.bincount(label)[label], np.argsort(label, kind="stable")
+        i, j = np.concatenate([self.cols, a, b]), np.concatenate([self.cols, b, a])
+        entry = np.repeat([1.0, -1.0], [self.cols.size, 2 * a.size])
+        position, self.groups = np.empty(self.n_var, int), []  # a variable's place in its group
+        for s in np.unique(size):
+            members = order[size[order] == s].reshape(-1, s)
+            position[members] = np.arange(members.size).reshape(-1, s)
+            mine = size[i] == s
+            gram = np.bincount(position[i[mine]] * s + position[j[mine]] % s, entry[mine], members.size * s)
+            self.groups.append((members, np.linalg.inv(gram.reshape(-1, s, s))))
+
+    def with_slacks(self, blocks: np.ndarray) -> np.ndarray:
+        """The stacked block entries followed by their localizer slack differences."""
+        return np.concatenate([blocks, blocks[self.base] - blocks[self.shift]])
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """G y: each block entry reads its variable, and 0 where it is fixed."""
+        return self.with_slacks(np.append(y, 0.0)[self.variable])
+
+    def scatter(self, r: np.ndarray) -> np.ndarray:
+        """G^T r."""
+        return np.bincount(self.cols, self.signs * r[self.rows], self.n_var)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(G^T G)^{-1} b, one batched product per group."""
+        y = np.empty(self.n_var)
+        for members, inverse in self.groups:
+            y[members] = (inverse @ b[members][:, :, None])[:, :, 0]
+        return y
+
+
 class _Anderson:
     """Type-II Anderson acceleration of a fixed-point iteration v -> v + r(v).
 
@@ -314,34 +376,21 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     start = time.perf_counter()
     n_cliques, k, _ = prob.variable.shape
     n_vec = n_cliques * k * k
-    loc_base, loc_shift = prob.localizers  # slack i-1 is the blocks at loc_base[i-1] minus those at loc_shift[i-1]
-
-    def with_slacks(a):
-        """The rows of a over the stacked blocks, followed by their localizer slack differences."""
-        return [a, a[loc_base.reshape(-1)] - a[loc_shift.reshape(-1)]]
 
     # x = x0 + T y meets the mirrored and shared entries, the class ties and
     # the fixed diagonals for every y, so the ADMM runs on y through G.
     # Each variable is the value of its entries: T is 0/1.
-    variable = prob.variable.reshape(-1)
-    free = np.flatnonzero(variable >= 0)
-    T = sp.csr_matrix(
-        (np.ones(free.size), (free, variable[free])),
-        shape=(n_vec, int(variable.max()) + 1),
-    )
-    x0 = np.where(variable >= 0, 0.0, 1.0)
-    G = sp.vstack(with_slacks(T), format="csr")
-    Gt = G.T.tocsr()
-    solver = splu((Gt @ G).tocsc())
-    g0 = np.concatenate(with_slacks(x0))
+    G = _Consensus(prob.variable, prob.localizers)
+    x0 = np.where(prob.variable.reshape(-1) >= 0, 0.0, 1.0)
+    g0 = G.with_slacks(x0)
 
     c = prob.objective.reshape(-1)
-    cy = T.T @ c
+    cy = G.scatter(np.concatenate([c, np.zeros(g0.size - n_vec)]))  # T^T c
     c_norm = 1.0 + np.linalg.norm(c)
 
     def stacks(vec: np.ndarray) -> list[np.ndarray]:
         """The clique blocks and the localizer slacks of a vector of with_slacks' layout."""
-        return [vec[:n_vec].reshape(n_cliques, k, k), vec[n_vec:].reshape(loc_shift.shape)]
+        return [vec[:n_vec].reshape(n_cliques, k, k), vec[n_vec:].reshape(prob.localizers.shape[1:])]
 
     def project_blocks(vec: np.ndarray) -> np.ndarray:
         return np.concatenate([_psd_project(stack).reshape(-1) for stack in stacks(vec)])
@@ -355,7 +404,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     # The central point of the lower end and its least eigenvalue; a block's size
     # bounds its trace on the feasible set (in the order of least_eigenvalues).
     x_central = (prob.central[:, :, None] * np.eye(k)).reshape(-1)
-    central_least = least_eigenvalues(np.concatenate(with_slacks(x_central))).min()
+    central_least = least_eigenvalues(G.with_slacks(x_central)).min()
     sizes = np.concatenate([np.full(len(s), s.shape[1]) for s in stacks(g0) if s.size])
 
     def interval(g: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
@@ -363,8 +412,8 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
         negative = np.minimum(least_eigenvalues(g), 0.0)
         t = float(np.max(-negative / (central_least - negative)))
         dual = rho * (z - v)
-        dual -= G @ solver.solve(Gt @ dual + cy)
-        excess = Gt @ dual + cy
+        dual -= G.gather(G.solve(G.scatter(dual) + cy))
+        excess = G.scatter(dual) + cy
         upper = c @ x0 + dual @ g0 + sizes @ np.maximum(-least_eigenvalues(dual), 0.0) + np.abs(excess).sum()
         return (1.0 - t) * float(c @ g[:n_vec]), float(upper), t
 
@@ -383,8 +432,8 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
     for iteration in range(1, max_iters + 1):
         iterations = iteration
         u = v - z
-        y = solver.solve(cy / rho + Gt @ (z - u - g0))
-        g = g0 + G @ y
+        y = G.solve(cy / rho + G.scatter(z - u - g0))
+        g = g0 + G.gather(y)
         step = g + u
         # Residuals are measured on plain steps only, so a check iteration neither
         # extrapolates nor rejects.
@@ -395,7 +444,7 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
             continue
 
         primal_res = float(np.linalg.norm(g - z) / (1.0 + np.linalg.norm(g)))
-        dual_res = float(rho * np.linalg.norm(Gt @ (z - z_prev)) / c_norm)
+        dual_res = float(rho * np.linalg.norm(G.scatter(z - z_prev)) / c_norm)
         history.append((iteration, primal_res, dual_res, rho, time.perf_counter() - start))
         passed = primal_res <= tol and dual_res <= tol
         if passed or iteration == max_iters:
@@ -418,7 +467,8 @@ def solve_sdp(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iters: int = DEFAU
 
     # The repaired point, with g[:n_vec] = x0 + T y: feasible up to the rounding of the eigenvalues.
     x = (1.0 - t) * g[:n_vec] + t * x_central
-    min_slack = float(np.linalg.eigvalsh(x[loc_base] - x[loc_shift]).min()) if loc_shift.size else 0.0
+    slacks = stacks(G.with_slacks(x))[1]
+    min_slack = float(np.linalg.eigvalsh(slacks).min()) if slacks.size else 0.0
 
     return SdpSolution(
         value=lower,

@@ -180,6 +180,22 @@ class TestWordGuard:
         # 10^6 words, exactly the guard
         assert _class_firsts(9, 6).shape == (10**6,)
 
+    @pytest.mark.parametrize("d", [10**6, 10**6 - 1])
+    def test_one_long_word_in_a_tenth_of_a_second(self, d):
+        # n = 0 at d = 10^6 passes the guard; the passes once looped d times,
+        # 5.9 s in verify_bb and 1.1 s in evaluate_on_witness.  The rotation
+        # by t has the power of rotation by d t, which u and v read off.
+        t = 0.3
+        rotation = np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]])
+        w = Witness(d=d, u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]), A=rotation)
+        start = time.perf_counter()
+        report = verify_bb(w, 1e-9)
+        value = evaluate_on_witness(Polynomial(0, {(): 2.0}), w)
+        assert time.perf_counter() - start < 0.1
+        assert report["pass"] and report["max_relation_violation"] == 0.0
+        assert value == pytest.approx(-2.0 * math.sin(d * t), abs=1e-8)
+        assert _class_firsts(0, d).tolist() == [0]
+
 
 class TestChainValue:
     @pytest.mark.parametrize("letter", [True, 1.0])

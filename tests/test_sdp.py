@@ -305,6 +305,50 @@ class TestBuild:
         build_fcb_sdp(Polynomial(2, {(1, 2): 1.0}), 2)
 
 
+def dense_g(prob: SdpProblem) -> np.ndarray:
+    """G as a dense array: a 1 at each free block entry's variable, then each slack's base row less its shifted row."""
+    variable = prob.variable.reshape(-1)
+    T = np.zeros((variable.size, variable.max() + 1))
+    free = np.flatnonzero(variable >= 0)
+    T[free, variable[free]] = 1.0
+    base, shift = prob.localizers.reshape(2, -1)
+    return np.vstack([T, T[base] - T[shift]])
+
+
+# n = 0 and d = 0 (no localizers) included; the dense G of these has at most 0.5 million entries.
+CONSENSUS_SHAPES = [(n, d) for n in range(5) for d in range(5) if 1 + sum((n + 1) ** s for s in range(d + 1)) <= 64]
+
+
+class TestConsensus:
+    """The gather, the scatter and the solve with G^T G per tree, against a dense G."""
+
+    @pytest.mark.parametrize("n, d", CONSENSUS_SHAPES)
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_g(self, n, d, seed):
+        prob = build_fcb_sdp(Polynomial(n, {(): 1.0}), d)
+        G, dense = sdp._Consensus(prob.variable, prob.localizers), dense_g(prob)
+        rng = np.random.default_rng(seed)
+        y, r, b = (rng.standard_normal(size) for size in (dense.shape[1], dense.shape[0], dense.shape[1]))
+        assert np.array_equal(G.gather(y), dense @ y)
+        assert np.all(np.abs(G.scatter(r) - dense.T @ r) <= 1e-12 * (np.abs(dense.T) @ np.abs(r)))
+        expected = np.linalg.solve(dense.T @ dense, b)
+        assert np.allclose(G.solve(b), expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+        # The slack pairs form a forest: as many distinct pairs as variables less trees.
+        pairs = prob.variable.reshape(-1)[prob.localizers.reshape(2, -1)]
+        edges = {tuple(sorted(pair)) for pair in pairs.T.tolist() if min(pair) >= 0}
+        assert len(edges) == dense.shape[1] - sum(len(members) for members, _ in G.groups)
+
+    def test_the_d3_benchmark_shape(self):
+        # n = 3, d = 3: 203 trees of 1, 5 and 21 variables; the dense G^T G is 1123 x 1123.
+        prob = build_fcb_sdp(PANEL_N3, 3)
+        G, dense = sdp._Consensus(prob.variable, prob.localizers), dense_g(prob)
+        assert sorted(members.shape for members, _ in G.groups) == [(14, 21), (29, 1), (160, 5)]
+        b = np.random.default_rng(3).standard_normal(dense.shape[1])
+        residual = dense.T @ (dense @ G.solve(b)) - b
+        assert np.abs(residual).max() <= 1e-10 * np.abs(b).max()
+
+
 class TestSolveAnchors:
     def test_single_variable(self):
         sol = solve_sdp(build_fcb_sdp(Polynomial(1, {(1,): 1.0}), 1))
